@@ -956,8 +956,8 @@ def _q_incremental_minhash(sf_dir: str):
     # (invariant 12, the simhash/winnow pattern)
     _require_gate_corpus(sf_dir, check_content=True)
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    # materialized = the persisted artifact shape (the broadcast plan scans
-    # the baseline twice; only fair against a stored table)
+    # materialized = the persisted artifact shape the op's contract names
+    # (a stored table, not a lazy MinHasher lineage)
     baseline_sigs = dedup.minhash_signatures(
         docs.map_batches(_parity_filter("doc_id", 0), batch_format="pyarrow")
     ).materialize()

@@ -251,9 +251,8 @@ def run_bench() -> dict:
                 dedup._md5_hex(b.column("text").to_pylist()))}),
             batch_format="pyarrow")).count())
     # the baseline signature table is the PERSISTED artifact a daily run
-    # reads back — prepared untimed (the incremental_cc precedent below);
-    # the broadcast plan scans it twice, which is only fair against a
-    # stored table, not a lazy MinHasher lineage
+    # reads back — prepared untimed (the incremental_cc precedent below):
+    # a stored table, not a lazy MinHasher lineage
     _base_sigs = dedup.minhash_signatures(
         docs_ds().map_batches(_doc_parity(0), batch_format="pyarrow")).materialize()
     timed("incremental_minhash", lambda: dedup.incremental_minhash_dedup(

@@ -33,8 +33,8 @@ def parse_range_str(range_str: str) -> List[int]:
 def _ray_session(num_cpus: Optional[int]):
     """Own the Ray session. Honors RAY_ADDRESS so the same CLI is the
     `ray job submit` driver on a multi-node cluster (the job runtime sets
-    RAY_ADDRESS to the cluster GCS; attaching ignores num_cpus — that is a
-    local-mode knob only) and runs standalone otherwise."""
+    RAY_ADDRESS to the cluster GCS; attaching drops num_cpus, a local-mode
+    knob only, with a warning on stderr) and runs standalone otherwise."""
     import os as _os
 
     import ray
@@ -45,6 +45,9 @@ def _ray_session(num_cpus: Optional[int]):
         kwargs["include_dashboard"] = False
         if num_cpus:
             kwargs["num_cpus"] = num_cpus
+    elif num_cpus:
+        print(f"warning: --workers {num_cpus} ignored: attaching to the Ray "
+              f"cluster at RAY_ADDRESS={address}", file=sys.stderr)
     ray.init(**kwargs)
     from ray.data import DataContext
 

@@ -299,31 +299,6 @@ def connected_components_distributed(
     )
 
 
-def _member_sorted(arr: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``arr`` in a SORTED key array — O(n log m)
-    searchsorted, zero per-worker setup (no hash index build per batch/actor).
-    Works for int64 and object (string) arrays alike."""
-    if len(arr) == 0 or len(sorted_keys) == 0:
-        return np.zeros(len(arr), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, arr), len(sorted_keys) - 1)
-    return sorted_keys[pos] == arr
-
-
-def _substitute_sorted(arr: np.ndarray, sorted_keys: np.ndarray,
-                       vals: np.ndarray) -> np.ndarray:
-    """Replace hits of ``arr`` in the sorted lookup by the parallel ``vals``
-    — substitution on the raw array, never a NaN-bearing map/fillna path
-    (invariant 16)."""
-    out = arr.copy()
-    if len(arr) == 0 or len(sorted_keys) == 0:
-        return out
-    pos = np.minimum(np.searchsorted(sorted_keys, arr), len(sorted_keys) - 1)
-    hit = sorted_keys[pos] == arr
-    if hit.any():
-        out[hit] = vals[pos[hit]]
-    return out
-
-
 def incremental_connected_components(
     new_pairs: ray.data.Dataset,
     baseline_labels: ray.data.Dataset,
@@ -333,8 +308,6 @@ def incremental_connected_components(
     label_col: str = "cluster_id",
     max_rounds: int = 64,
     local_threshold: int = 5_000_000,
-    plan: str = "auto",
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Assign an increment's near-dup pairs to PERSISTED cluster ids without
     recomputing components over the baseline graph — the crawl-increment
@@ -350,22 +323,14 @@ def incremental_connected_components(
     output); ``new_pairs`` is the increment's pair table, whose endpoints
     may be baseline nodes (labeled or singleton) or new nodes.
 
-    Two plans — the baseline GRAPH is never touched, only its label table:
+    Plan — the baseline GRAPH is never touched, only its label table, and
+    that table is scanned, never exchanged: the increment's endpoint set is
+    broadcast, ONE scan filters the label table down to the matching rows,
+    and contraction + rep classification are shuffle-free vectorized maps
+    against that lookup. State on the driver: at most two (node, label)
+    rows per increment pair.
 
-    * ``broadcast`` (default when the increment has ≤ ``broadcast_threshold``
-      pairs — the expected crawl-increment shape): the increment's endpoint
-      set is broadcast once (``ray.put``, fetched per actor in ``__init__``),
-      ONE distributed scan filters the corpus-sized label table down to the
-      ≤ 2·pairs matching rows, and contraction + rep classification become
-      shuffle-free vectorized maps against the collected lookup. Zero
-      all-to-all exchanges over baseline data — the 100 TB shape.
-    * ``shuffle`` (forced, or auto past the threshold): two co-partitioned
-      bucket merges — one on node to look up labels, one on the edge key to
-      re-pair the two mapped sides (no Acero join, invariant 7) — then a
-      keyed merge of final labels against the baseline rep set to classify.
-      No driver-side collection of increment state at all.
-
-    Both contract each endpoint to its baseline cluster id if labeled, else
+    Each endpoint is contracted to its baseline cluster id if labeled, else
     itself; self-edges (pairs inside one existing cluster) drop at
     contraction — they cannot change any label. The alternating-star CC then
     runs on the CONTRACTED graph only (reps + new nodes + baseline
@@ -382,11 +347,7 @@ def incremental_connected_components(
     """
     import pyarrow.compute as pc
 
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    if plan not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"plan must be auto|broadcast|shuffle, got {plan!r}")
+    from pdftext_ray.ops import probe
 
     pair_schema = new_pairs.schema()
     if pair_schema is not None:
@@ -395,259 +356,86 @@ def incremental_connected_components(
         # a zero-block pairs dataset carries no schema — type the (empty)
         # delta from the baseline label table instead
         id_type = baseline_labels.schema().base_schema.field(node_col).type
-    n_parts = default_num_partitions()
-    sentinel = pa.scalar(0, id_type) if pa.types.is_integer(id_type) else pa.scalar("", id_type)
+    delta_schema = pa.schema([("kind", pa.string()), ("node", id_type), ("cluster_id", id_type)])
 
-    def _empty_delta() -> ray.data.Dataset:
-        return ray.data.from_arrow(pa.table({
-            "kind": pa.array([], pa.string()),
-            "node": pa.array([], id_type),
-            "cluster_id": pa.array([], id_type),
-        }))
+    # the increment is the small side by this op's contract — materialize
+    # the projected pairs once so the count, the endpoint assembly and the
+    # contraction pass share one execution of the lineage
+    new_pairs = new_pairs.map_batches(
+        lambda t: pa.table({a_col: pc.cast(t.column(a_col), id_type),
+                            b_col: pc.cast(t.column(b_col), id_type)}),
+        batch_format="pyarrow",
+    ).materialize()
+    if new_pairs.count() == 0:
+        return ray.data.from_arrow(delta_schema.empty_table())
+    ep_ref = probe.key_set(new_pairs, lambda t: np.concatenate(
+        [t.column(a_col).to_numpy(), t.column(b_col).to_numpy()]))
 
-    use_broadcast = False
-    if plan != "shuffle":
-        # the increment is the small side by this op's contract — materialize
-        # the projected pairs once so the count, the endpoint assembly and
-        # the contraction pass share one execution of the lineage (the
-        # embedding_pairs_bruteforce pattern, ops/dedup.py)
-        new_pairs = new_pairs.select_columns([a_col, b_col]).materialize()
-        n_pairs = new_pairs.count()
-        if n_pairs == 0:
-            return _empty_delta()
-        use_broadcast = plan == "broadcast" or n_pairs <= broadcast_threshold
-
-    rep_ref = None
-    if use_broadcast:
-        import ray as _ray
-
-        @_ray.remote
-        def _endpoints(*tables: pa.Table):
-            # drop zero-row blocks: Ray can emit column-less empty blocks
-            # whose blank schema breaks pa.concat_tables (invariant 12)
-            tables = [t for t in tables if t.num_rows > 0]
-            if not tables:
-                return np.array([], dtype=object if not pa.types.is_integer(id_type) else np.int64)
-            t = pa.concat_tables(tables)
-            both = pa.chunked_array([
-                pc.cast(t.column(a_col), id_type),
-                pc.cast(t.column(b_col), id_type),
-            ])
-            uniq = pc.unique(both).to_numpy(zero_copy_only=False)
-            return np.sort(uniq, kind="mergesort")
-
-        # broadcast objects are plain numpy arrays fetched per BATCH via
-        # ray.get — plasma reconstructs numpy views in microseconds (unlike
-        # the pandas frames VERDICT r2 flagged), so plain task stages beat
-        # actor pools here: no per-pool actor spin-up on the latency path,
-        # and sorted-array searchsorted probes need zero per-worker setup
-        ep_ref = _endpoints.remote(*new_pairs.to_arrow_refs())
-
-        def filter_labels(t: pa.Table) -> pa.Table:
-            """The one corpus-sized scan in the broadcast plan: emit only
-            baseline rows whose node is an increment endpoint
-            (≤ 2·|increment| rows total)."""
-            eps = _ray.get(ep_ref)
-            node = pc.cast(t.column(node_col).combine_chunks(), id_type)
-            lab = pc.cast(t.column(label_col).combine_chunks(), id_type)
-            mask = pa.array(_member_sorted(node.to_numpy(zero_copy_only=False), eps))
-            return pa.table({"node": node.filter(mask), "lab": lab.filter(mask)})
-
-        matched_refs = baseline_labels.map_batches(
-            filter_labels, batch_format="pyarrow",
-        ).to_arrow_refs()
-        # drop zero-row blocks before concat: Ray can emit column-less empty
-        # blocks whose blank schema breaks pa.concat_tables (invariant 12)
-        matched_tabs = [t for t in _ray.get(matched_refs) if t.num_rows > 0]
-        if matched_tabs:
-            matched = pa.concat_tables(matched_tabs)
-        else:
-            matched = pa.table({"node": pa.array([], id_type),
-                                "lab": pa.array([], id_type)})
-        # defensive uniqueness (baseline is unique per node by contract),
-        # then key-sorted so workers probe via searchsorted with no setup
-        mdf = matched.to_pandas().drop_duplicates("node").sort_values("node")
-        lut_ref = _ray.put((mdf["node"].to_numpy(), mdf["lab"].to_numpy()))
-        # the only contracted ids that can be baseline reps are looked-up
-        # label VALUES (an unmapped endpoint equal to a rep id is impossible:
-        # the rep row (r, r) is in the label table, so it would have matched)
-        rep_ref = _ray.put(np.unique(mdf["lab"].to_numpy()))
-
-        def contract(t: pa.Table) -> pa.Table:
-            """Shuffle-free contraction: substitute each endpoint by its
-            baseline label via the broadcast lookup (hits only, on the raw
-            array — invariant 16: never a NaN-bearing map/fillna path),
-            canonicalize lo/hi, drop self-edges, dedup per batch (the CC
-            tolerates cross-batch duplicates; union-find semantics)."""
-            keys, vals = _ray.get(lut_ref)
-            a = _substitute_sorted(
-                pc.cast(t.column(a_col), id_type).combine_chunks().to_numpy(zero_copy_only=False),
-                keys, vals)
-            b = _substitute_sorted(
-                pc.cast(t.column(b_col), id_type).combine_chunks().to_numpy(zero_copy_only=False),
-                keys, vals)
-            swap = a > b
-            lo = np.where(swap, b, a)
-            hi = np.where(swap, a, b)
-            keep = lo != hi
-            df = pd.DataFrame({"ma": lo[keep], "mb": hi[keep]}).drop_duplicates()
-            return pa.table({"ma": pa.array(df["ma"].to_numpy(), id_type),
-                             "mb": pa.array(df["mb"].to_numpy(), id_type)})
-
-        contracted = new_pairs.map_batches(
-            contract, batch_format="pyarrow",
-        ).materialize()
-
-    def _arr(x):
-        return x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        a = pc.cast(t.column(a_col).combine_chunks(), id_type)
-        b = pc.cast(t.column(b_col).combine_chunks(), id_type)
-        lo, hi = _arr(pc.min_element_wise(a, b)), _arr(pc.max_element_wise(a, b))
-        n = len(t)
-        return pa.table({
-            "node": pa.concat_arrays([lo, hi]),
-            "e_a": pa.concat_arrays([lo, lo]),
-            "e_b": pa.concat_arrays([hi, hi]),
-            "side": pa.array(np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]), pa.int8()),
-            "lab": pa.array([sentinel.as_py()] * (2 * n), id_type),
-            "is_lab": pa.array(np.zeros(2 * n, np.int8), pa.int8()),
-        })
-
-    def label_rows(t: pa.Table) -> pa.Table:
+    def filter_labels(t: pa.Table) -> pa.Table:
+        """The one corpus-sized scan: emit only baseline rows whose node is
+        an increment endpoint (≤ 2·|increment| rows total)."""
         node = pc.cast(t.column(node_col).combine_chunks(), id_type)
         lab = pc.cast(t.column(label_col).combine_chunks(), id_type)
-        n = len(t)
-        return pa.table({
-            "node": node,
-            "e_a": pa.array([sentinel.as_py()] * n, id_type),
-            "e_b": pa.array([sentinel.as_py()] * n, id_type),
-            "side": pa.array(np.zeros(n, np.int8), pa.int8()),
-            "lab": lab,
-            "is_lab": pa.array(np.ones(n, np.int8), pa.int8()),
-        })
+        mask = probe.member_sorted(node.to_numpy(zero_copy_only=False), ray.get(ep_ref))
+        return pa.table({"node": node.filter(pa.array(mask)), "lab": lab.filter(pa.array(mask))})
 
-    def resolve_lookup(g: pd.DataFrame) -> pa.Table:
-        """Per node-partition: replace each edge endpoint by its baseline
-        label when present. Emits one row per (edge, side)."""
-        labs = g[g["is_lab"] == 1].drop_duplicates("node").set_index("node")["lab"]
-        e = g[g["is_lab"] == 0].drop_duplicates(["node", "e_a", "e_b", "side"])
-        if e.empty:
-            return pa.table({
-                "e_a": pa.array([], id_type), "e_b": pa.array([], id_type),
-                "side": pa.array([], pa.int8()), "mapped": pa.array([], id_type),
-            })
-        # NOT map().fillna(): that routes int64 ids through float64 NaN,
-        # silently corrupting ids past 2^53 (hash-derived 63-bit ids at
-        # crawl scale) — substitute only the hits, dtype untouched
-        mapped = e["node"].to_numpy().copy()
-        hit = e["node"].isin(labs.index).to_numpy()
-        if hit.any():
-            mapped[hit] = labs.loc[e["node"].iloc[hit]].to_numpy()
-        out = pd.DataFrame({
-            "e_a": e["e_a"].values, "e_b": e["e_b"].values,
-            "side": e["side"].values, "mapped": mapped,
-        })
-        return from_pandas_clean(out)
+    matched = probe.collect(
+        baseline_labels.map_batches(filter_labels, batch_format="pyarrow"),
+        pa.schema([("node", id_type), ("lab", id_type)]),
+    )
+    # defensive uniqueness (baseline is unique per node by contract),
+    # then key-sorted so workers probe via searchsorted with no setup
+    mdf = matched.to_pandas().drop_duplicates("node").sort_values("node")
+    lut_ref = ray.put((mdf["node"].to_numpy(), mdf["lab"].to_numpy()))
+    # the only contracted ids that can be baseline reps are looked-up
+    # label VALUES (an unmapped endpoint equal to a rep id is impossible:
+    # the rep row (r, r) is in the label table, so it would have matched)
+    rep_ref = ray.put(np.unique(mdf["lab"].to_numpy()))
 
-    def resolve_repair(g: pd.DataFrame) -> pa.Table:
-        """Per edge-partition (keyed on e_a — both sides of an edge share
-        it): re-pair the two mapped endpoints, drop self-edges."""
-        g = g.drop_duplicates(["e_a", "e_b", "side"])
-        w = g.pivot_table(index=["e_a", "e_b"], columns="side", values="mapped",
-                          aggfunc="first").reset_index()
-        if 0 not in w.columns or 1 not in w.columns or w.empty:
-            return pa.table({"ma": pa.array([], id_type), "mb": pa.array([], id_type)})
-        keep = w[w[0] != w[1]]
-        out = pd.DataFrame({"ma": keep[0].values, "mb": keep[1].values}).drop_duplicates()
-        return from_pandas_clean(out)
+    def contract(t: pa.Table) -> pa.Table:
+        """Substitute each endpoint by its baseline label via the broadcast
+        lookup (hits only, on the raw array — invariant 16), canonicalize
+        lo/hi, drop self-edges, dedup per batch (the CC tolerates
+        cross-batch duplicates; union-find semantics)."""
+        keys, vals = ray.get(lut_ref)
+        a = probe.substitute_sorted(
+            t.column(a_col).combine_chunks().to_numpy(zero_copy_only=False), keys, vals)
+        b = probe.substitute_sorted(
+            t.column(b_col).combine_chunks().to_numpy(zero_copy_only=False), keys, vals)
+        swap = a > b
+        lo = np.where(swap, b, a)
+        hi = np.where(swap, a, b)
+        keep = lo != hi
+        df = pd.DataFrame({"ma": lo[keep], "mb": hi[keep]}).drop_duplicates()
+        return pa.table({"ma": pa.array(df["ma"].to_numpy(), id_type),
+                         "mb": pa.array(df["mb"].to_numpy(), id_type)})
 
-    if not use_broadcast:
-        contracted = (
-            new_pairs.map_batches(edge_rows, batch_format="pyarrow")
-            .union(baseline_labels.map_batches(label_rows, batch_format="pyarrow"))
-            .map_batches(_key_part_tag("node", n_parts), batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(resolve_lookup, batch_format="pandas")
-            .map_batches(_key_part_tag("e_a", n_parts), batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(resolve_repair, batch_format="pandas")
-            .materialize()
-        )
-
+    contracted = new_pairs.map_batches(contract, batch_format="pyarrow").materialize()
     if contracted.count() == 0:
-        return _empty_delta()
+        return ray.data.from_arrow(delta_schema.empty_table())
 
     final = connected_components_distributed(
         contracted, a_col="ma", b_col="mb",
         max_rounds=max_rounds, local_threshold=local_threshold,
     )
 
-    if use_broadcast:
-
-        def classify_bcast(t: pa.Table) -> pa.Table:
-            """Shuffle-free classification against the broadcast rep set
-            (np.unique output is sorted): per-node independent once rep
-            membership is a local probe."""
-            reps = _ray.get(rep_ref)
-            node_np = pc.cast(t.column("doc_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
-            val_np = pc.cast(t.column("cluster_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
-            is_rep = _member_sorted(node_np, reps)
-            # a rep whose component min is still itself keeps its id
-            keep = ~(is_rep & (node_np == val_np))
-            kinds = np.where(is_rep[keep], "remap", "assign")
-            return pa.table({
-                "kind": pa.array(kinds, pa.string()),
-                "node": pa.array(node_np[keep], id_type),
-                "cluster_id": pa.array(val_np[keep], id_type),
-            })
-
-        return final.map_batches(classify_bcast, batch_format="pyarrow")
-
-    def rep_rows(t: pa.Table) -> pa.Table:
-        node = pc.cast(t.column(node_col).combine_chunks(), id_type)
-        lab = pc.cast(t.column(label_col).combine_chunks(), id_type)
-        keep = pc.equal(node, lab)
-        reps = node.filter(keep)
-        return pa.table({
-            "node": reps,
-            "val": reps,
-            "is_rep": pa.array(np.ones(len(reps), np.int8), pa.int8()),
-        })
-
-    def final_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": pc.cast(t.column("doc_id").combine_chunks(), id_type),
-            "val": pc.cast(t.column("cluster_id").combine_chunks(), id_type),
-            "is_rep": pa.array(np.zeros(len(t), np.int8), pa.int8()),
-        })
-
-    def classify(g: pd.DataFrame) -> pa.Table:
-        rep_set = set(g.loc[g["is_rep"] == 1, "node"])
-        f = g[g["is_rep"] == 0]
-        if f.empty:
-            return pa.table({
-                "kind": pa.array([], pa.string()),
-                "node": pa.array([], id_type),
-                "cluster_id": pa.array([], id_type),
-            })
-        is_rep = f["node"].isin(rep_set).values
-        # a rep whose component min is still itself keeps its id — no row
-        keep = ~(is_rep & (f["node"].values == f["val"].values))
-        f = f[keep]
+    def classify(t: pa.Table) -> pa.Table:
+        """Classification against the broadcast rep set (np.unique output
+        is sorted): per-node independent once rep membership is a local
+        probe."""
+        node_np = pc.cast(t.column("doc_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
+        val_np = pc.cast(t.column("cluster_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
+        is_rep = probe.member_sorted(node_np, ray.get(rep_ref))
+        # a rep whose component min is still itself keeps its id
+        keep = ~(is_rep & (node_np == val_np))
         kinds = np.where(is_rep[keep], "remap", "assign")
-        out = pd.DataFrame({"kind": kinds, "node": f["node"].values,
-                            "cluster_id": f["val"].values})
-        return from_pandas_clean(out)
+        return pa.table({
+            "kind": pa.array(kinds, pa.string()),
+            "node": pa.array(node_np[keep], id_type),
+            "cluster_id": pa.array(val_np[keep], id_type),
+        })
 
-    return (
-        final.map_batches(final_rows, batch_format="pyarrow")
-        .union(baseline_labels.map_batches(rep_rows, batch_format="pyarrow"))
-        .map_batches(_key_part_tag("node", n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(classify, batch_format="pandas")
-    )
+    return final.map_batches(classify, batch_format="pyarrow")
 
 
 def apply_incremental_cc(
@@ -655,8 +443,6 @@ def apply_incremental_cc(
     delta: ray.data.Dataset,
     node_col: str = "doc_id",
     label_col: str = "cluster_id",
-    plan: str = "auto",
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Fold an :func:`incremental_connected_components` delta into the
     persisted label table → the updated full (node, cluster_id) table,
@@ -664,120 +450,45 @@ def apply_incremental_cc(
     edges (the probe suite verifies this against union-find on adversarial
     topologies).
 
-    Two plans: ``broadcast`` (default for deltas ≤ ``broadcast_threshold``
-    rows — the delta is increment-sized by construction) collects the delta
-    once, broadcasts the remap table, and rewrites the corpus-sized label
-    table in ONE shuffle-free vectorized pass, unioning the assign rows at
-    the end. ``shuffle`` runs a co-partitioned bucket merge keyed on the OLD
-    cluster id (remap rows touch every member of a renamed cluster; assign
-    rows pass through untouched as their own key) — no driver-side
-    collection at all."""
+    Plan: the delta (increment-sized by construction) is collected once,
+    its remap rows are broadcast, and the corpus-sized label table is
+    rewritten in ONE shuffle-free vectorized pass; the assign rows are
+    unioned at the end. State on the driver: the delta, one row per node
+    of the increment's contracted graph."""
     import pyarrow.compute as pc
 
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    if plan not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"plan must be auto|broadcast|shuffle, got {plan!r}")
+    from pdftext_ray.ops import probe
 
     id_type = baseline_labels.schema().base_schema.field(node_col).type
-    n_parts = default_num_partitions()
+    dt = probe.collect(delta, pa.schema([
+        ("kind", pa.string()), ("node", id_type), ("cluster_id", id_type)]))
+    kind = np.asarray(dt.column("kind").to_pylist())
+    node = pc.cast(dt.column("node").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
+    cid = pc.cast(dt.column("cluster_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
+    is_remap = kind == "remap"
+    rdf = (pd.DataFrame({"k": node[is_remap], "v": cid[is_remap]})
+           .drop_duplicates("k").sort_values("k"))
+    remap_ref = ray.put((rdf["k"].to_numpy(), rdf["v"].to_numpy()))
 
-    use_broadcast = False
-    if plan != "shuffle":
-        delta = delta.materialize()
-        use_broadcast = plan == "broadcast" or delta.count() <= broadcast_threshold
+    def sub_labels(t: pa.Table) -> pa.Table:
+        """Label rewrite: substitute only the hit rows on the raw label
+        array via the sorted broadcast remap table (invariant 16 — never
+        map().fillna(), which routes int64 ids through float64 NaN)."""
+        keys, vals = ray.get(remap_ref)
+        nodes = pc.cast(t.column(node_col).combine_chunks(), id_type)
+        lab_np = probe.substitute_sorted(
+            pc.cast(t.column(label_col).combine_chunks(), id_type).to_numpy(zero_copy_only=False),
+            keys, vals)
+        return pa.table({node_col: nodes,
+                         label_col: pa.array(lab_np, id_type)})
 
-    if use_broadcast:
-        import ray as _ray
-
-        # drop zero-row blocks before concat: Ray can emit column-less empty
-        # blocks whose blank schema breaks pa.concat_tables (invariant 12)
-        tabs = [t for t in _ray.get(delta.to_arrow_refs()) if t.num_rows > 0]
-        if tabs:
-            dt = pa.concat_tables(tabs)
-        else:
-            dt = pa.table({"kind": pa.array([], pa.string()),
-                           "node": pa.array([], id_type),
-                           "cluster_id": pa.array([], id_type)})
-        kind = np.asarray(dt.column("kind").to_pylist())
-        node = pc.cast(dt.column("node").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
-        cid = pc.cast(dt.column("cluster_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
-        is_remap = kind == "remap"
-        rdf = (pd.DataFrame({"k": node[is_remap], "v": cid[is_remap]})
-               .drop_duplicates("k").sort_values("k"))
-        remap_ref = _ray.put((rdf["k"].to_numpy(), rdf["v"].to_numpy()))
-
-        def sub_labels(t: pa.Table) -> pa.Table:
-            """Shuffle-free label rewrite: substitute only the hit rows on
-            the raw label array via the sorted broadcast remap table
-            (invariant 16 — never map().fillna(), which routes int64 ids
-            through float64 NaN)."""
-            keys, vals = _ray.get(remap_ref)
-            nodes = pc.cast(t.column(node_col).combine_chunks(), id_type)
-            lab_np = _substitute_sorted(
-                pc.cast(t.column(label_col).combine_chunks(), id_type).to_numpy(zero_copy_only=False),
-                keys, vals)
-            return pa.table({node_col: nodes,
-                             label_col: pa.array(lab_np, id_type)})
-
-        out = baseline_labels.map_batches(sub_labels, batch_format="pyarrow")
-        n_assign = int((~is_remap).sum())
-        if n_assign:
-            assign_tbl = pa.table({
-                node_col: pa.array(node[~is_remap], id_type),
-                label_col: pa.array(cid[~is_remap], id_type),
-            })
-            out = out.union(ray.data.from_arrow(assign_tbl))
-        return out
-
-    def base_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": pc.cast(t.column(label_col).combine_chunks(), id_type),
-            "node": pc.cast(t.column(node_col).combine_chunks(), id_type),
-            "val": pc.cast(t.column(label_col).combine_chunks(), id_type),
-            "tag": pa.array(np.zeros(len(t), np.int8), pa.int8()),
-        })
-
-    def delta_rows(t: pa.Table) -> pa.Table:
-        # remap rows key on the OLD cluster id they rename; assign rows are
-        # already final labels and pass through (tag 2)
-        kind = t.column("kind")
-        node = pc.cast(t.column("node").combine_chunks(), id_type)
-        cid = pc.cast(t.column("cluster_id").combine_chunks(), id_type)
-        is_remap = pc.equal(kind, "remap")
-        tag = pc.if_else(is_remap, pa.scalar(1, pa.int8()), pa.scalar(2, pa.int8()))
-        return pa.table({"key": node, "node": node, "val": cid,
-                         "tag": pc.cast(tag, pa.int8())})
-
-    def resolve(g: pd.DataFrame) -> pa.Table:
-        remaps = g[g["tag"] == 1].drop_duplicates("key").set_index("key")["val"]
-        base = g[g["tag"] == 0]
-        out_frames = []
-        if not base.empty:
-            # same no-float64-NaN discipline as resolve_lookup above
-            new_lab = base["val"].to_numpy().copy()
-            hit = base["key"].isin(remaps.index).to_numpy()
-            if hit.any():
-                new_lab[hit] = remaps.loc[base["key"].iloc[hit]].to_numpy()
-            out_frames.append(pd.DataFrame({node_col: base["node"].values,
-                                            label_col: new_lab}))
-        assigns = g[g["tag"] == 2]
-        if not assigns.empty:
-            out_frames.append(pd.DataFrame({node_col: assigns["node"].values,
-                                            label_col: assigns["val"].values}))
-        if not out_frames:
-            return pa.table({node_col: pa.array([], id_type),
-                             label_col: pa.array([], id_type)})
-        return from_pandas_clean(pd.concat(out_frames).drop_duplicates())
-
-    return (
-        baseline_labels.map_batches(base_rows, batch_format="pyarrow")
-        .union(delta.map_batches(delta_rows, batch_format="pyarrow"))
-        .map_batches(_key_part_tag("key", n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    out = baseline_labels.map_batches(sub_labels, batch_format="pyarrow")
+    if (~is_remap).any():
+        out = out.union(ray.data.from_arrow(pa.table({
+            node_col: pa.array(node[~is_remap], id_type),
+            label_col: pa.array(cid[~is_remap], id_type),
+        })))
+    return out
 
 
 def kmeans_assign(

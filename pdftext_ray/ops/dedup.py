@@ -68,8 +68,6 @@ def incremental_exact_dedup(
     id_col: str = "doc_id",
     text_col: str = "text",
     hash_col: str = "text_hash",
-    plan: str = "auto",
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Dedup a NEW increment against a persisted baseline fingerprint table
     — the daily-crawl shape at 100 TB: yesterday's corpus is represented
@@ -82,147 +80,45 @@ def incremental_exact_dedup(
     baseline, keeping the smallest new id per hash; dup_count counts
     within-increment copies only.
 
-    Two plans:
-
-    * ``broadcast`` (default for increments ≤ ``broadcast_threshold`` rows
-      — the expected daily shape): the increment's distinct hash set is
-      broadcast once, ONE distributed scan filters the corpus-sized
-      baseline down to the ≤ |increment| hashes it already contains, and
-      the keep-min aggregation + seen-filter run over increment rows only.
-      Zero all-to-all exchanges over baseline data — the 100 TB shape.
-    * ``shuffle`` (forced, or auto past the threshold): both sides are
-      projected to (hash, id, is_new) rows and co-partitioned by hash
-      bucket (the `_attach_blobs` union-merge pattern — Acero
-      ``Dataset.join`` is banned for sides that can be empty, CLAUDE.md
-      invariant 7); each partition resolves membership and the keep-min
-      vectorized. The shuffle carries hashes + ids, not text, and nothing
-      is collected on the driver.
+    Plan: the increment's distinct hash set is broadcast once, ONE scan
+    filters the corpus-sized baseline down to the hashes the increment
+    also contains, and the keep-min aggregation + seen-filter run over
+    increment rows only — the baseline is scanned, never exchanged. No
+    per-row state reaches the driver: the two broadcast hash sets, built in
+    remote tasks, hold at most one 32-char hash per increment row each.
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-    from pdftext_ray.ops.relational import _key_part_tag
+    from pdftext_ray.ops import probe
+    from pdftext_ray.ops.relational import hash_grouped_agg
 
-    if plan not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"plan must be auto|broadcast|shuffle, got {plan!r}")
-
-    n_parts = default_num_partitions()
-
+    # the increment is the small side by this op's contract — materialize
+    # the hashed projection once so the hash-set assembly and the
+    # aggregation share one execution of the lineage
     new_hashed = new_ds.map_batches(
-        lambda b: _text_hash_batch(b, text_col)
-        .select([id_col, "text_hash"])
-        .append_column("is_new", pa.array([1] * b.num_rows, pa.int8())),
+        lambda b: _text_hash_batch(b, text_col).select([id_col, "text_hash"]),
         batch_format="pyarrow",
-    )
+    ).materialize()
+    hs_ref = probe.key_set(new_hashed, lambda t: t.column("text_hash"))
 
-    use_broadcast = False
-    if plan != "shuffle":
-        # the increment is the small side by this op's contract — materialize
-        # the hashed projection once so the count, the hash-set assembly and
-        # the aggregation share one execution of the lineage
-        new_hashed = new_hashed.materialize()
-        use_broadcast = plan == "broadcast" or new_hashed.count() <= broadcast_threshold
+    def filter_seen(t: pa.Table) -> pa.Table:
+        """The one corpus-sized scan: emit only baseline hashes the
+        increment also contains (≤ |increment| rows total)."""
+        col = pc.cast(t.column(hash_col).combine_chunks(), pa.string())
+        mask = probe.member_sorted(col.to_numpy(zero_copy_only=False), ray.get(hs_ref))
+        return pa.table({"text_hash": col.filter(pa.array(mask))})
 
-    if use_broadcast:
-        import ray as _ray
+    seen_ref = probe.key_set(
+        baseline_hashes.map_batches(filter_seen, batch_format="pyarrow"),
+        lambda t: t.column("text_hash"))
 
-        from pdftext_ray.ops.cluster import _member_sorted
-        from pdftext_ray.ops.relational import hash_grouped_agg
+    def drop_seen(t: pa.Table) -> pa.Table:
+        col = t.column("text_hash").combine_chunks()
+        seen = probe.member_sorted(col.to_numpy(zero_copy_only=False), ray.get(seen_ref))
+        return t.filter(pa.array(~seen))
 
-        @_ray.remote
-        def _hash_set(*tables: pa.Table):
-            tables = [t for t in tables if t.num_rows > 0]
-            if not tables:
-                return np.array([], dtype=object)
-            both = pa.chunked_array([t.column("text_hash") for t in tables])
-            uniq = pc.unique(both).to_numpy(zero_copy_only=False)
-            return np.sort(uniq, kind="mergesort")
-
-        hs_ref = _hash_set.remote(*new_hashed.to_arrow_refs())
-
-        def filter_seen(t: pa.Table) -> pa.Table:
-            """The one corpus-sized scan in the broadcast plan: emit only
-            baseline hashes the increment also contains (≤ |increment|
-            rows total; sorted-array probe, zero per-worker setup)."""
-            hs = _ray.get(hs_ref)
-            col = pc.cast(t.column(hash_col).combine_chunks(), pa.string())
-            mask = pa.array(_member_sorted(col.to_numpy(zero_copy_only=False), hs))
-            return pa.table({"text_hash": col.filter(mask)})
-
-        seen_tabs = [
-            t for t in _ray.get(
-                baseline_hashes.map_batches(filter_seen, batch_format="pyarrow")
-                .to_arrow_refs()
-            ) if t.num_rows > 0
-        ]
-        if seen_tabs:
-            seen_np = pc.unique(
-                pa.concat_tables(seen_tabs).column("text_hash")
-            ).to_numpy(zero_copy_only=False)
-            seen_np = np.sort(seen_np, kind="mergesort")
-        else:
-            seen_np = np.array([], dtype=object)
-        seen_ref = _ray.put(seen_np)
-
-        agg = hash_grouped_agg(
-            new_hashed.select_columns([id_col, "text_hash"]), "text_hash",
-            {"keep_doc_id": (id_col, "min"), "dup_count": (id_col, "size")},
-        )
-
-        def drop_seen(t: pa.Table) -> pa.Table:
-            seen = _ray.get(seen_ref)
-            col = t.column("text_hash").combine_chunks()
-            keep = pa.array(~_member_sorted(col.to_numpy(zero_copy_only=False), seen))
-            return t.filter(keep)
-
-        return agg.map_batches(drop_seen, batch_format="pyarrow")
-    # baseline contributes hash membership only; a sentinel id VALUE (not
-    # null — a null would coerce the pandas id column to float64, losing
-    # precision past 2^53) of the NEW side's type keeps the union schema
-    # aligned; the sentinel is never read (resolve only aggregates is_new
-    # rows)
-    import pyarrow.types as pt
-
-    id_type = new_ds.schema().base_schema.field(id_col).type
-    if pt.is_integer(id_type):
-        _sentinel = pa.scalar(0, id_type)
-    elif pt.is_string(id_type) or pt.is_large_string(id_type):
-        _sentinel = pa.scalar("", id_type)
-    else:
-        raise TypeError(f"incremental_exact_dedup: unsupported id type {id_type}")
-
-    def base_rows(b: pa.Table) -> pa.Table:
-        col = b.column(hash_col)
-        return pa.table({
-            id_col: pa.array([_sentinel.as_py()] * len(col), id_type),
-            "text_hash": col,
-            "is_new": pa.array([0] * len(col), pa.int8()),
-        })
-
-    base = baseline_hashes.map_batches(base_rows, batch_format="pyarrow")
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        seen = g.loc[g["is_new"] == 0, "text_hash"]
-        new = g[g["is_new"] == 1]
-        novel = new[~new["text_hash"].isin(set(seen))]
-        if novel.empty:
-            # explicit types — an empty pandas object column would infer
-            # arrow null and break the keyed shuffle (invariant 12)
-            return pa.table({
-                "text_hash": pa.array([], pa.string()),
-                "keep_doc_id": pa.array([], id_type),
-                "dup_count": pa.array([], pa.int64()),
-            })
-        agg = novel.groupby("text_hash", as_index=False).agg(
-            keep_doc_id=(id_col, "min"), dup_count=(id_col, "size")
-        )
-        agg["dup_count"] = agg["dup_count"].astype("int64")
-        return from_pandas_clean(agg[["text_hash", "keep_doc_id", "dup_count"]])
-
-    return (
-        new_hashed.union(base)
-        .map_batches(_key_part_tag("text_hash", n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return hash_grouped_agg(
+        new_hashed, "text_hash",
+        {"keep_doc_id": (id_col, "min"), "dup_count": (id_col, "size")},
+    ).map_batches(drop_seen, batch_format="pyarrow")
 
 
 def minhash_signatures(
@@ -356,8 +252,6 @@ def incremental_minhash_dedup(
     seed: int = 7,
     id_col: str = "doc_id",
     text_col: str = "text",
-    plan: str = "auto",
-    broadcast_threshold: int = 2_000_000,
     new_sigs: Optional[ray.data.Dataset] = None,
 ) -> ray.data.Dataset:
     """Near-dup verdicts for a crawl increment against a persisted MinHash
@@ -376,20 +270,27 @@ def incremental_minhash_dedup(
     increment's novel set. Ids must be disjoint across baseline and
     increment (monotone id assignment gives this for free).
 
-    Plan (every exchange few-partition, invariant 9; identical signatures
-    collapsed FIRST, invariant 14, so dup-saturated increments emit one
-    flag per copy instead of quadratic bucket pairs):
+    Plan (every exchange few-partition and increment-sized, invariant 9;
+    identical signatures collapsed FIRST, invariant 14, so dup-saturated
+    increments emit one flag per copy instead of quadratic bucket pairs):
 
-    1. signatures for the increment (MinHasher actor pool) ∪ baseline sigs,
-       marked is_new.
-    2. collapse identical signature byte-strings: every new member behind
-       its group head (baseline-first, then id order) is flagged at est
-       1.0; group heads proceed as reps.
-    3. band reps (same bucket formula as minhash_lsh_pairs), candidate
-       pairs new-rep × earlier-rep within a bucket.
-    4. attach packed sigs to both pair sides (co-partitioned bucket merge,
+    1. signatures for the increment (MinHasher actor pool, or ``new_sigs``);
+       their band-bucket set and whole-signature digest set are broadcast.
+    2. ONE baseline scan, materialized: keep the docs with ≥1 band bucket in
+       the increment's set — the only baseline docs any increment doc can
+       pair with — and tag those whose digest is in the digest set.
+    3. the tagged docs' exact signature bytes → min baseline id are the
+       matched heads, broadcast. Collapse identical increment signatures:
+       every member of a group matching a head is flagged at est 1.0
+       against it; other groups flag every member behind the smallest id,
+       which proceeds as a rep.
+    4. band increment reps ∪ baseline candidates (same bucket formula as
+       minhash_lsh_pairs), candidate pairs new-rep × earlier doc within a
+       bucket. Baseline copies stay uncollapsed: identical signatures give
+       identical estimates and the argmax tie-break (min id) picks the head.
+    5. attach packed sigs to both pair sides (co-partitioned bucket merge,
        no Acero join), estimate, threshold.
-    5. per-new-doc argmax over collapse flags ∪ banded estimates: max est,
+    6. per-new-doc argmax over collapse flags ∪ banded estimates: max est,
        ties by min dup_of — EXCEPT that a doc flagged at collapse reports
        its GROUP HEAD (baseline-first, then smallest id) as dup_of, not the
        globally smallest est-1.0 peer: identical-signature members are
@@ -409,25 +310,11 @@ def incremental_minhash_dedup(
     signature-matrix toolkit above — no per-row hashing or per-pair
     ``np.frombuffer`` (round-4 VERDICT #1).
 
-    For increments ≤ ``broadcast_threshold`` docs (``plan="auto"``, the
-    expected crawl shape) the corpus-sized exchanges disappear: the
-    increment's distinct signature set is broadcast and ONE baseline scan
-    extracts the matched collapse heads (min baseline id per identical
-    sig); collapse then shuffles increment signatures only. A second
-    baseline scan filters to docs whose band buckets intersect the
-    increment reps' broadcast bucket set — only those candidates join the
-    (now increment-sized) banding/attach exchanges, with identical output:
-    a baseline doc in a bucket no increment rep probes can never pair, and
-    per-batch-uncollapsed baseline copies produce the same per-doc argmax
-    (identical sigs → identical estimates, tie-break min id = the head).
-    The broadcast plan reads ``baseline_sigs`` TWICE — hand it the persisted
-    signature table its contract names (a parquet read-back re-scans for
-    pennies), not an expensive lazy lineage; force ``plan="shuffle"`` if
-    the baseline must be computed inline. ``plan="shuffle"`` keeps the
-    union plan: no driver-side collection, both sides co-partitioned end
-    to end, one pass over each input.
+    State on the driver: per distinct increment signature at most one
+    matched head (num_perm×8 signature bytes + id); the bucket and digest
+    sets (≤ bands + 1 int64 per increment doc) are built in remote tasks.
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean, round_half_away
+    from pdftext_ray.ops import default_num_partitions, from_pandas_clean, probe, round_half_away
     from pdftext_ray.ops.relational import _key_part_tag
 
     id_type = _schema_field_type(new_ds, id_col) or pa.int64()
@@ -444,228 +331,90 @@ def incremental_minhash_dedup(
 
         return fn
 
-    if plan not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"plan must be auto|broadcast|shuffle, got {plan!r}")
+    def buckets(t: pa.Table, n_bands: int) -> np.ndarray:
+        return _band_bucket_hash(_sig_matrix_from_binary(t.column("_sigb"), num_perm), n_bands)
 
-    _new_sig_table = (
+    # the increment is the small side by this op's contract — signatures are
+    # num_perm×8 bytes/doc, so materializing them is bounded; the key sets,
+    # collapse and banding share one execution of the MinHasher lineage
+    new_sigs = (
         new_sigs if new_sigs is not None
         else minhash_signatures(new_ds, num_perm, ngram, seed, id_col, text_col)
-    )
-    new_sigs = _new_sig_table.map_batches(mark(1), batch_format="pyarrow")
+    ).map_batches(mark(1), batch_format="pyarrow").materialize()
 
-    use_broadcast = False
-    if plan != "shuffle":
-        # the increment is the small side by this op's contract — signatures
-        # are num_perm×8 bytes/doc, so materializing them is bounded; the
-        # count, the sig-set assembly, collapse and banding share one
-        # execution of the MinHasher lineage
-        new_sigs = new_sigs.materialize()
-        use_broadcast = plan == "broadcast" or new_sigs.count() <= broadcast_threshold
+    # a digest is the bands=1 fold — a vectorized whole-signature hash; its
+    # false positives only add head rows no increment signature matches
+    bucket_ref = probe.key_set(new_sigs, lambda t: buckets(t, bands))
+    digest_ref = probe.key_set(new_sigs, lambda t: buckets(t, 1))
 
-    allsigs = new_sigs.union(baseline_sigs.map_batches(mark(0), batch_format="pyarrow"))
+    def scan_base(t: pa.Table) -> pa.Table:
+        """The one corpus-sized scan: baseline docs sharing ≥1 band bucket
+        with some increment doc, ``_hit`` where the digest matches too (a
+        doc with an increment doc's signature shares all its buckets)."""
+        t = mark(0)(t)
+        b = buckets(t, bands)
+        keep = probe.member_sorted(b.ravel(), ray.get(bucket_ref)).reshape(b.shape).any(axis=1)
+        t = t.filter(pa.array(keep))
+        hit = probe.member_sorted(buckets(t, 1).ravel(), ray.get(digest_ref))
+        return t.append_column("_hit", pa.array(hit, pa.bool_()))
+
+    base = baseline_sigs.map_batches(scan_base, batch_format="pyarrow").materialize()
+    heads = probe.collect(
+        base.map_batches(
+            lambda t: t.filter(t.column("_hit")).select(["_sigb", id_col]),
+            batch_format="pyarrow",
+        ),
+        pa.schema([("_sigb", pa.binary()), (id_col, id_type)]),
+    ).to_pandas().groupby("_sigb", as_index=False)[id_col].min()  # sorted by _sigb
+    heads_ref = ray.put((heads["_sigb"].to_numpy(), heads[id_col].to_numpy()))
 
     def sig_part(t: pa.Table) -> pa.Table:
         # partition tag only needs run-internal consistency (identical sigs
         # must co-partition for collapse) — a bands=1 bucket fold IS a
         # vectorized whole-signature hash (round-4 ADVICE: no per-row blake2b)
-        mat = _sig_matrix_from_binary(t.column("_sigb"), num_perm)
-        h = _band_bucket_hash(mat, 1).ravel()
-        return t.append_column("_part", pa.array(h % n_parts, pa.int64()))
+        return t.append_column("_part", pa.array(buckets(t, 1).ravel() % n_parts, pa.int64()))
 
     def collapse(g: pd.DataFrame) -> pa.Table:
-        # group by the exact signature BYTES (not a hash of them); head =
-        # baseline-first, then smallest id
-        g = g.sort_values(["_sigb", "is_new", id_col], kind="mergesort")
-        first = ~g["_sigb"].duplicated()
-        heads = g.loc[first, ["_sigb", id_col]].rename(columns={id_col: "_head"})
-        g = g.merge(heads, on="_sigb", how="left")
-        flags = g[(g["is_new"] == 1) & (g[id_col] != g["_head"])]
-        reps = g[~g["_sigb"].duplicated()]
+        """Collapse identical increment signature BYTES (not a hash of
+        them): a group matching a broadcast baseline head flags every
+        member at that head and emits no rep (the head is already a
+        baseline candidate); any other group flags every member behind its
+        smallest id, which is emitted as the rep."""
+        keys, vals = ray.get(heads_ref)
+        g = g.sort_values(["_sigb", id_col], kind="mergesort")
+        sig_np = g["_sigb"].to_numpy()
+        ids = g[id_col].to_numpy()
+        first = (~g["_sigb"].duplicated()).to_numpy()
+        head = ids[np.maximum.accumulate(np.where(first, np.arange(len(g)), 0))]
+        matched = probe.member_sorted(sig_np, keys)
+        head[matched] = probe.substitute_sorted(sig_np[matched], keys, vals)
+        is_flag = matched | (ids != head)
+        is_rep = first & ~matched
+        n_flag, n_rep = int(is_flag.sum()), int(is_rep.sum())
+        kind = np.repeat(np.array([1, 0], np.int8), [n_flag, n_rep])
         return pa.table({
-            "kind": pa.array(
-                np.concatenate([np.ones(len(flags), np.int8), np.zeros(len(reps), np.int8)]),
-                pa.int8(),
-            ),
-            id_col: pa.array(
-                list(flags[id_col]) + list(reps[id_col]), id_type
-            ),
-            "dup_of": pa.array(
-                list(flags["_head"]) + list(reps[id_col]), id_type
-            ),
-            "_sigb": pa.array(
-                [b""] * len(flags) + list(reps["_sigb"]), pa.binary()
-            ),
-            "is_new": pa.array(
-                np.concatenate([
-                    np.zeros(len(flags), np.int8),
-                    reps["is_new"].to_numpy().astype(np.int8),
-                ]),
-                pa.int8(),
-            ),
+            "kind": pa.array(kind, pa.int8()),
+            id_col: pa.array(np.concatenate([ids[is_flag], ids[is_rep]]), id_type),
+            "dup_of": pa.array(np.concatenate([head[is_flag], ids[is_rep]]), id_type),
+            "_sigb": pa.array([b""] * n_flag + list(sig_np[is_rep]), pa.binary()),
+            "is_new": pa.array(1 - kind, pa.int8()),
         })
+
+    combined = (
+        new_sigs.map_batches(sig_part, batch_format="pyarrow")
+        .groupby("_part")
+        .map_groups(collapse, batch_format="pandas")
+        .materialize()
+    )
+    reps = combined.map_batches(
+        lambda t: t.filter(pc.equal(t.column("kind"), pa.scalar(0, pa.int8())))
+        .select([id_col, "_sigb", "is_new"]),
+        batch_format="pyarrow",
+    ).union(base.select_columns([id_col, "_sigb", "is_new"]))
 
     def band_keys(t: pa.Table) -> pa.Table:
         mat = _sig_matrix_from_binary(t.column("_sigb"), num_perm)
         return _band_postings_table(t, mat, bands, id_col, extra_cols=("is_new",))
-
-    if use_broadcast:
-        import ray as _ray
-
-        from pdftext_ray.ops.cluster import _member_sorted
-
-        @_ray.remote
-        def _sig_set(*tables: pa.Table):
-            # sorted int64 DIGEST set (the bands=1 bucket fold — vectorized,
-            # no 512-byte Python object sorts); membership false positives
-            # only add extra head rows, which the exact-bytes heads table
-            # downstream can never mistake for a real match
-            tables = [t for t in tables if t.num_rows > 0]
-            if not tables:
-                return np.array([], dtype=np.int64)
-            digs = [
-                _band_bucket_hash(_sig_matrix_from_binary(t.column("_sigb"), num_perm), 1).ravel()
-                for t in tables
-            ]
-            return np.unique(np.concatenate(digs))
-
-        ss_ref = _sig_set.remote(*new_sigs.to_arrow_refs())
-
-        def match_heads(t: pa.Table) -> pa.Table:
-            """Baseline scan #1: per-batch partial (matched sig → min
-            baseline id) for signatures the increment re-contains — int64
-            digest probe (vectorized), exact bytes only over the hits."""
-            ss = _ray.get(ss_ref)
-            t2 = mark(0)(t)
-            mat = _sig_matrix_from_binary(t2.column("_sigb"), num_perm)
-            hit = _member_sorted(_band_bucket_hash(mat, 1).ravel(), ss)
-            if not hit.any():
-                return pa.table({"_sigb": pa.array([], pa.binary()),
-                                 "_bh": pa.array([], id_type)})
-            t2 = t2.filter(pa.array(hit))
-            sig_np = np.asarray(t2.column("_sigb").to_pylist(), dtype=object)
-            ids = t2.column(id_col).to_numpy(zero_copy_only=False)
-            agg = (pd.DataFrame({"_sigb": sig_np, "_bh": ids})
-                   .groupby("_sigb", as_index=False).agg(_bh=("_bh", "min")))
-            return pa.table({"_sigb": pa.array(list(agg["_sigb"]), pa.binary()),
-                             "_bh": pa.array(agg["_bh"].to_numpy(), id_type)})
-
-        head_tabs = [
-            t for t in _ray.get(
-                baseline_sigs.map_batches(match_heads, batch_format="pyarrow").to_arrow_refs()
-            ) if t.num_rows > 0
-        ]
-        if head_tabs:
-            hdf = (pa.concat_tables(head_tabs).to_pandas()
-                   .groupby("_sigb", as_index=False).agg(_bh=("_bh", "min"))
-                   .sort_values("_sigb", kind="mergesort"))
-            heads_ref = _ray.put((np.asarray(list(hdf["_sigb"]), dtype=object),
-                                  hdf["_bh"].to_numpy()))
-        else:
-            heads_ref = _ray.put((np.array([], dtype=object),
-                                  np.array([], dtype=object)))
-
-        def collapse_bcast(g: pd.DataFrame) -> pa.Table:
-            """Increment-only collapse consulting the broadcast baseline
-            heads: matched sig groups flag EVERY new member at the baseline
-            head and emit no rep (the head banding happens on the baseline
-            side via base_cands); unmatched groups behave like the union
-            collapse restricted to the increment."""
-            keys, vals = _ray.get(heads_ref)
-            g = g.sort_values(["_sigb", id_col], kind="mergesort")
-            first = (~g["_sigb"].duplicated()).to_numpy()
-            heads_new = g.loc[first, ["_sigb", id_col]].rename(columns={id_col: "_newhead"})
-            g = g.merge(heads_new, on="_sigb", how="left")  # left merge keeps row order
-            sig_np = g["_sigb"].to_numpy()
-            head = g["_newhead"].to_numpy().copy()
-            if len(keys):
-                pos = np.minimum(np.searchsorted(keys, sig_np), len(keys) - 1)
-                matched = keys[pos] == sig_np
-                if matched.any():
-                    head[matched] = vals[pos[matched]]
-            else:
-                matched = np.zeros(len(g), dtype=bool)
-            ids = g[id_col].to_numpy()
-            is_flag = matched | (ids != head)
-            is_rep = first & ~matched
-            return pa.table({
-                "kind": pa.array(
-                    np.concatenate([np.ones(int(is_flag.sum()), np.int8),
-                                    np.zeros(int(is_rep.sum()), np.int8)]),
-                    pa.int8(),
-                ),
-                id_col: pa.array(
-                    np.concatenate([ids[is_flag], ids[is_rep]]), id_type
-                ),
-                "dup_of": pa.array(
-                    np.concatenate([head[is_flag], ids[is_rep]]), id_type
-                ),
-                "_sigb": pa.array(
-                    [b""] * int(is_flag.sum()) + list(g["_sigb"].to_numpy()[is_rep]),
-                    pa.binary(),
-                ),
-                "is_new": pa.array(
-                    np.concatenate([np.zeros(int(is_flag.sum()), np.int8),
-                                    np.ones(int(is_rep.sum()), np.int8)]),
-                    pa.int8(),
-                ),
-            })
-
-        combined = (
-            new_sigs.map_batches(sig_part, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(collapse_bcast, batch_format="pandas")
-            .materialize()
-        )
-        reps_inc = combined.map_batches(
-            lambda t: t.filter(pc.equal(t.column("kind"), pa.scalar(0, pa.int8())))
-            .select([id_col, "_sigb", "is_new"]),
-            batch_format="pyarrow",
-        )
-
-        @_ray.remote
-        def _bucket_set(*tables: pa.Table):
-            tables = [t for t in tables if t.num_rows > 0]
-            if not tables:
-                return np.array([], dtype=np.int64)
-            u = pc.unique(pa.chunked_array(
-                [t.column("bucket") for t in tables]
-            )).to_numpy(zero_copy_only=False)
-            return np.sort(u)
-
-        inc_buckets = reps_inc.map_batches(
-            lambda t: pa.table({"bucket": pa.array(np.unique(
-                _band_bucket_hash(_sig_matrix_from_binary(t.column("_sigb"), num_perm), bands)
-            ), pa.int64())}),
-            batch_format="pyarrow",
-        )
-        bs_ref = _bucket_set.remote(*inc_buckets.to_arrow_refs())
-
-        def base_cands_fn(t: pa.Table) -> pa.Table:
-            """Baseline scan #2: keep only docs with ≥1 band bucket in the
-            increment reps' bucket set — the candidate set any plan must
-            consider; everything downstream is increment-proportional."""
-            bs = _ray.get(bs_ref)
-            t2 = mark(0)(t)
-            mat = _sig_matrix_from_binary(t2.column("_sigb"), num_perm)
-            buckets = _band_bucket_hash(mat, bands)
-            hit_any = _member_sorted(buckets.ravel(), bs).reshape(buckets.shape).any(axis=1)
-            return t2.filter(pa.array(hit_any)).select([id_col, "_sigb", "is_new"])
-
-        reps = reps_inc.union(
-            baseline_sigs.map_batches(base_cands_fn, batch_format="pyarrow")
-        )
-    else:
-        combined = (
-            allsigs.map_batches(sig_part, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(collapse, batch_format="pandas")
-            .materialize()
-        )
-        reps = combined.map_batches(
-            lambda t: t.filter(pc.equal(t.column("kind"), pa.scalar(0, pa.int8())))
-            .select([id_col, "_sigb", "is_new"]),
-            batch_format="pyarrow",
-        )
 
     def pairs_part(g: pd.DataFrame) -> pa.Table:
         # Emit (new doc, earlier doc) pairs per bucket, fully vectorized:
@@ -822,8 +571,6 @@ def incremental_embedding_dedup(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     probe_radius: int = 1,
-    plan: str = "auto",
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Embedding near-dup verdicts for an increment against a persisted
     baseline vector table — the third modality of the incremental family
@@ -841,18 +588,17 @@ def incremental_embedding_dedup(
     (``id_col``, dup_of, cosine) — a custom ``id_col`` carries through
     (round-4 ADVICE).
 
-    For increments ≤ ``broadcast_threshold`` vectors (``plan="auto"``, the
-    expected crawl shape) the increment's DISTINCT probe-bucket set is
-    broadcast once and the baseline postings — each carrying its full
-    vector — are filtered to increment-hit buckets BEFORE the bucket
-    shuffle: a baseline posting in a bucket no new vector probes can never
-    produce a verdict, so the exchange shrinks from corpus-sized to
-    candidate-sized with bit-identical output. ``plan="shuffle"`` keeps the
-    unfiltered exchange (no broadcast state at all).
+    Plan: the increment's DISTINCT probe-bucket set is broadcast once and
+    the baseline postings — each carrying its full vector — are filtered
+    to increment-hit buckets BEFORE the bucket shuffle: a baseline posting
+    in a bucket no new vector probes can never produce a verdict, so the
+    exchange is candidate-sized, not corpus-sized. No per-row state reaches
+    the driver; the bucket set (≤ 1 + probes int64 per increment vector) is
+    built in a remote task.
     """
     from itertools import combinations
 
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
+    from pdftext_ray.ops import default_num_partitions, from_pandas_clean, probe
     from pdftext_ray.ops.relational import _key_part_tag
 
     if not 0 <= probe_radius <= n_planes:
@@ -921,51 +667,21 @@ def incremental_embedding_dedup(
             })
         return pa.concat_tables(tabs)
 
-    if plan not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"plan must be auto|broadcast|shuffle, got {plan!r}")
+    # the increment is the small side by this op's contract; materialize the
+    # input (not the 1+probes-times-larger posting expansion) so the
+    # bucket-set pass and the posting pass share one read
+    new_posts = new_emb.materialize().map_batches(bucketize(1), batch_format="pyarrow")
+    bs_ref = probe.key_set(new_posts, lambda t: t.column("bucket"))
 
-    use_broadcast = False
-    if plan != "shuffle":
-        # the increment is the small side by this op's contract; materialize
-        # the input (not the 1+probes-times-larger posting expansion) so the
-        # count, the bucket-set pass and the posting pass share one read
-        new_emb = new_emb.materialize()
-        use_broadcast = plan == "broadcast" or new_emb.count() <= broadcast_threshold
+    def filter_base(t: pa.Table) -> pa.Table:
+        """Drop baseline postings in buckets no new vector probes — they
+        cannot meet a new row in part_verdicts, so the bucket shuffle
+        carries candidates only, not the corpus."""
+        col = t.column("bucket").combine_chunks().to_numpy(zero_copy_only=False)
+        return t.filter(pa.array(probe.member_sorted(col, ray.get(bs_ref))))
 
-    new_posts = new_emb.map_batches(bucketize(1), batch_format="pyarrow")
-    base_posts = baseline_emb.map_batches(bucketize(0), batch_format="pyarrow")
-
-    if use_broadcast:
-        import ray as _ray
-
-        from pdftext_ray.ops.cluster import _member_sorted
-
-        @_ray.remote
-        def _bucket_set(*tables: pa.Table):
-            tables = [t for t in tables if t.num_rows > 0]
-            if not tables:
-                return np.array([], dtype=np.int64)
-            u = pc.unique(pa.chunked_array(
-                [t.column("bucket") for t in tables]
-            )).to_numpy(zero_copy_only=False)
-            return np.sort(u)
-
-        bucket_only = new_posts.map_batches(
-            lambda t: pa.table({"bucket": pc.unique(t.column("bucket").combine_chunks())}),
-            batch_format="pyarrow",
-        )
-        bs_ref = _bucket_set.remote(*bucket_only.to_arrow_refs())
-
-        def filter_base(t: pa.Table) -> pa.Table:
-            """Drop baseline postings in buckets no new vector probes —
-            they cannot meet a new row in part_verdicts, so the bucket
-            shuffle carries candidates only, not the corpus."""
-            bs = _ray.get(bs_ref)
-            col = t.column("bucket").combine_chunks()
-            mask = pa.array(_member_sorted(col.to_numpy(zero_copy_only=False), bs))
-            return t.filter(mask)
-
-        base_posts = base_posts.map_batches(filter_base, batch_format="pyarrow")
+    base_posts = baseline_emb.map_batches(bucketize(0), batch_format="pyarrow").map_batches(
+        filter_base, batch_format="pyarrow")
 
     hits = (
         new_posts
@@ -2847,7 +2563,7 @@ def _keepbest_broadcast_labels(
     import ray as _ray
 
     from pdftext_ray.ops import cluster as _cluster
-    from pdftext_ray.ops import from_pandas_clean
+    from pdftext_ray.ops import from_pandas_clean, probe
 
     lab = _cluster.connected_components_local(pairs, "doc_a", "doc_b")
     # broadcast SORTED numpy arrays, not a dict: plasma reconstructs numpy
@@ -2864,12 +2580,8 @@ def _keepbest_broadcast_labels(
         # hit-substitution, not map().fillna(): the NaN route coerces int64
         # cluster ids through float64, corrupting ids past 2^53
         ids_np = np.asarray(ids)
-        clus = np.full(len(ids_np), -1, dtype=np.int64)
-        if len(keys) and len(ids_np):
-            pos = np.minimum(np.searchsorted(keys, ids_np), len(keys) - 1)
-            hit = keys[pos] == ids_np
-            if hit.any():
-                clus[hit] = vals[pos[hit]]
+        clus = np.where(probe.member_sorted(ids_np, keys),
+                        probe.substitute_sorted(ids_np, keys, vals), -1)
         return pa.table({
             "doc_id": ids,
             "n_tokens": pc.cast(pc.count_substring_regex(t.column(text_col), r"\S+"), pa.int64()),

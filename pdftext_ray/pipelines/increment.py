@@ -9,7 +9,8 @@ against an artifact directory and writes the updated artifacts atomically —
 the composed-pipeline analog of the reference's keep-first contract
 (`/root/reference/pdftext/pdf/chars.py:102-113`) extended across runs.
 
-Artifact layout under ``artifact_dir`` (all parquet, all written tmp→rename):
+Artifact layout under ``artifact_dir`` (all parquet, each swapped in by
+rename — see :func:`_write_atomic`):
 
 * ``hashes/``  — (text_hash) of every distinct text ever kept.
 * ``sigs/``    — (id, minhash) MinHash signatures of every doc ever seen.
@@ -17,17 +18,18 @@ Artifact layout under ``artifact_dir`` (all parquet, all written tmp→rename):
   ids, rep rows present — `connected_components_distributed`'s contract).
 
 An empty/missing ``artifact_dir`` bootstraps from nothing: day 1 simply runs
-against empty baselines (every broadcast op handles the empty side).
+against empty baselines (every op handles the empty side).
 
-Scale shape: every stage inherits the broadcast plans — baseline artifacts
-are SCANNED, never shuffled; all exchanges are increment-sized. The three
-artifact rewrites stream (union of the old table's scan with the new rows).
+Scale shape: each op has one plan — the increment's keys are broadcast and
+the baseline artifacts are SCANNED, never shuffled; all exchanges are
+increment-sized. The three artifact rewrites stream (union of the old
+table's scan with the new rows).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -38,7 +40,7 @@ def _read_or_empty(path: str, schema: pa.Schema, columns=None) -> ray.data.Datas
     from pdftext_ray import storage
 
     if os.path.isdir(path) and any(f.endswith(".parquet") for f in os.listdir(path)):
-        # rows-aware split (SURVEY §12): the broadcast-plan artifact scans
+        # rows-aware split (SURVEY §12): the artifact scans
         # are LIGHT vectorized probes, and Ray's default splitter turns a
         # small artifact into dozens of tiny blocks whose count then
         # multiplies every downstream shuffle's partition fan-out (measured
@@ -49,9 +51,10 @@ def _read_or_empty(path: str, schema: pa.Schema, columns=None) -> ray.data.Datas
 
 
 def _write_atomic(ds: ray.data.Dataset, out_dir: str) -> int:
-    """tmp → rename, parquet; returns rows written."""
-    import shutil
-
+    """Write ``ds`` as parquet to ``out_dir`` in place of its old contents;
+    returns rows written. The swap is ``out_dir`` → ``out_dir.old``, tmp →
+    ``out_dir``, then the old copy is deleted: a crash at any step leaves a
+    complete copy that :func:`_recover` puts back."""
     tmp = out_dir + ".tmp"
     if os.path.isdir(tmp):
         shutil.rmtree(tmp)
@@ -59,10 +62,25 @@ def _write_atomic(ds: ray.data.Dataset, out_dir: str) -> int:
     os.makedirs(tmp, exist_ok=True)  # all-empty unions may write no files
     n = ray.data.read_parquet(tmp).count() if any(
         f.endswith(".parquet") for f in os.listdir(tmp)) else 0
+    old = out_dir + ".old"
     if os.path.isdir(out_dir):
-        shutil.rmtree(out_dir)
+        os.rename(out_dir, old)
     os.rename(tmp, out_dir)
+    shutil.rmtree(old, ignore_errors=True)
     return n
+
+
+def _recover(out_dir: str) -> None:
+    """Undo a :func:`_write_atomic` swap cut short by a crash: a lone
+    ``out_dir.old`` is the last complete artifact and is renamed back;
+    beside a complete ``out_dir`` it is stale and deleted."""
+    old = out_dir + ".old"
+    if not os.path.isdir(old):
+        return
+    if os.path.isdir(out_dir):
+        shutil.rmtree(old)
+    else:
+        os.rename(old, out_dir)
 
 
 def run_increment(
@@ -73,7 +91,6 @@ def run_increment(
     bands: int = 16,
     id_col: str = "doc_id",
     text_col: str = "text",
-    plan: str = "auto",
 ) -> dict:
     """Process one crawl increment against (and into) ``artifact_dir``.
 
@@ -91,9 +108,11 @@ def run_increment(
     "hashes_rows", "sigs_rows", "labels_rows"} — the per-increment metrics a
     daily run logs. Ids must be globally unique and monotone across days
     (the incremental ops' shared contract). Increments are sequential by
-    design: artifact writes are atomic against readers and crashes
-    (tmp→rename), not against a CONCURRENT second increment — run one
-    increment at a time per artifact_dir (the daily-loop shape)."""
+    design: each artifact's swap survives a crash at any step (an
+    interrupted swap is undone on entry), but the three artifacts are
+    swapped one after another, and nothing guards against a CONCURRENT
+    second increment — run one increment at a time per artifact_dir (the
+    daily-loop shape)."""
     from pdftext_ray.ops import cluster, dedup
 
     id_type = new_docs.schema().base_schema.field(id_col).type
@@ -101,6 +120,8 @@ def run_increment(
     sigs_dir = os.path.join(artifact_dir, "sigs")
     labels_dir = os.path.join(artifact_dir, "labels")
     os.makedirs(artifact_dir, exist_ok=True)
+    for d in (hashes_dir, sigs_dir, labels_dir):
+        _recover(d)
 
     new_docs = new_docs.materialize()  # consumed by three stages
     n_new = new_docs.count()
@@ -109,7 +130,7 @@ def run_increment(
     baseline_hashes = _read_or_empty(
         hashes_dir, pa.schema([("text_hash", pa.string())]), columns=["text_hash"])
     novel = dedup.incremental_exact_dedup(
-        new_docs, baseline_hashes, id_col=id_col, text_col=text_col, plan=plan
+        new_docs, baseline_hashes, id_col=id_col, text_col=text_col
     ).materialize()
     novel_hash_rows = novel.select_columns(["text_hash"])
     hashes_rows = _write_atomic(
@@ -125,7 +146,7 @@ def run_increment(
     ).materialize()
     verdicts = dedup.incremental_minhash_dedup(
         new_docs, baseline_sigs, num_perm=num_perm, bands=bands,
-        threshold=threshold, id_col=id_col, text_col=text_col, plan=plan,
+        threshold=threshold, id_col=id_col, text_col=text_col,
         new_sigs=new_sigs,
     ).materialize()
     sigs_rows = _write_atomic(baseline_sigs.union(new_sigs), sigs_dir)
@@ -146,9 +167,9 @@ def run_increment(
     if verdicts.count():
         delta = cluster.incremental_connected_components(
             verdicts.map_batches(as_pairs, batch_format="pyarrow"),
-            baseline_labels, plan=plan,
+            baseline_labels,
         ).materialize()
-        updated_labels = cluster.apply_incremental_cc(baseline_labels, delta, plan=plan)
+        updated_labels = cluster.apply_incremental_cc(baseline_labels, delta)
         labels_rows = _write_atomic(updated_labels, labels_dir)
         if delta.count():
             kinds = delta.select_columns(["kind"]).to_pandas()["kind"]

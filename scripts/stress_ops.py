@@ -237,10 +237,13 @@ def main():
                 docs().map_batches(_parity_rows(1), batch_format="pyarrow"),
                 docs().map_batches(_parity_hashes(0), batch_format="pyarrow"),
             ).count(),
+            # the baseline is the PERSISTED signature table by the op's
+            # contract — materialized, not a lazy MinHasher lineage
             "incremental_minhash": lambda: dedup.incremental_minhash_dedup(
                 docs().map_batches(_parity_rows(1), batch_format="pyarrow"),
                 dedup.minhash_signatures(
-                    docs().map_batches(_parity_rows(0), batch_format="pyarrow")),
+                    docs().map_batches(_parity_rows(0), batch_format="pyarrow")
+                ).materialize(),
                 threshold=0.5,
             ).count(),
             "incremental_embedding": lambda: dedup.incremental_embedding_dedup(

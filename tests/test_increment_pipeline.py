@@ -3,8 +3,10 @@ artifacts must equal the trivially-computed from-scratch state (hash set,
 signature census, union-find clusters over all verdict edges)."""
 
 import hashlib
+import os
 
 import pyarrow as pa
+import pytest
 import ray
 
 from pdftext_ray.pipelines import increment
@@ -90,13 +92,9 @@ def test_three_rolling_days(tmp_path):
     assert set(ray.data.read_parquet(f"{art2}/hashes").to_pandas()["text_hash"]) == want_hashes
 
 
-import pytest
-
-
-@pytest.mark.parametrize("plan", ["auto", "shuffle"])
-def test_bootstrap_empty_artifacts(tmp_path, plan):
+def test_bootstrap_empty_artifacts(tmp_path):
     art = str(tmp_path / "a")
-    m = increment.run_increment(_docs([(5, "only doc")]), art, threshold=0.5, plan=plan)
+    m = increment.run_increment(_docs([(5, "only doc")]), art, threshold=0.5)
     assert m["new_docs"] == 1 and m["novel_hashes"] == 1 and m["flagged"] == 0
     assert m["labels_rows"] == 0 and m["sigs_rows"] == 1 and m["hashes_rows"] == 1
 
@@ -129,3 +127,55 @@ def test_string_ids_roll_forward(tmp_path):
     assert m2["flagged"] == 1 and m2["assigned"] == 2  # d01 first-entry + d02
     labels = ray.data.read_parquet(f"{art}/labels").to_pandas()
     assert dict(zip(labels["doc_id"], labels["cluster_id"])) == {"d01": "d01", "d02": "d01"}
+
+
+def _labels(art):
+    df = ray.data.read_parquet(f"{art}/labels").to_pandas()
+    return dict(zip(df["doc_id"], df["cluster_id"]))
+
+
+def test_crash_mid_swap_recovers(tmp_path, monkeypatch):
+    # a crash between the two renames of an artifact swap leaves only
+    # hashes.old; the next run must put it back and then give exactly the
+    # labels of an uninterrupted run
+    body = ("the quick brown fox jumps over the lazy dog and runs far away "
+            "into the woods where a stream flows past tall trees")
+    day1 = [(0, body), (1, "completely unrelated text about ray data pipelines")]
+    day2 = [(10, body), (11, body + " again")]
+    clean, art = str(tmp_path / "clean"), str(tmp_path / "crashed")
+    for d in (clean, art):
+        increment.run_increment(_docs(day1), d, threshold=0.5)
+    increment.run_increment(_docs(day2), clean, threshold=0.5)
+
+    real_rename, calls = os.rename, []
+
+    def crash_on_second(src, dst):
+        if str(src).startswith(art):
+            calls.append((src, dst))
+            if len(calls) == 2:
+                raise OSError("simulated crash")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", crash_on_second)
+    with pytest.raises(OSError, match="simulated crash"):
+        increment.run_increment(_docs(day2), art, threshold=0.5)
+    monkeypatch.undo()
+    hashes = os.path.join(art, "hashes")
+    assert calls[0] == (hashes, hashes + ".old")
+    assert not os.path.isdir(hashes) and os.path.isdir(hashes + ".old")
+
+    m = increment.run_increment(_docs(day2), art, threshold=0.5)
+    assert not os.path.exists(hashes + ".old")
+    assert m["novel_hashes"] == 1 and m["flagged"] == 2
+    assert _labels(art) == _labels(clean)
+
+
+def test_recover_drops_stale_old_copy(tmp_path):
+    # a crash after the second rename leaves both copies: the new one wins
+    out = tmp_path / "labels"
+    (tmp_path / "labels.old").mkdir()
+    out.mkdir()
+    (out / "part.parquet").write_bytes(b"")
+    increment._recover(str(out))
+    assert out.is_dir() and (out / "part.parquet").exists()
+    assert not (tmp_path / "labels.old").exists()

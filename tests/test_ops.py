@@ -31,8 +31,7 @@ def test_exact_dedup_groups_identical_texts():
     assert grp["dup_count"] == 2
 
 
-@pytest.mark.parametrize("inc_plan", ["broadcast", "shuffle"])
-def test_incremental_dedup_suppresses_baseline_and_keeps_min(inc_plan):
+def test_incremental_dedup_suppresses_baseline_and_keeps_min():
     import hashlib
 
     known = BASE
@@ -42,17 +41,16 @@ def test_incremental_dedup_suppresses_baseline_and_keeps_min(inc_plan):
     baseline = ray.data.from_arrow(pa.table({
         "text_hash": [hashlib.md5(known.encode()).hexdigest()]
     }))
-    out = dedup.incremental_exact_dedup(ds, baseline, plan=inc_plan).to_pandas()
+    out = dedup.incremental_exact_dedup(ds, baseline).to_pandas()
     assert len(out) == 1  # the known doc is suppressed entirely
     assert out.iloc[0]["keep_doc_id"] == 1 and out.iloc[0]["dup_count"] == 2
 
 
-@pytest.mark.parametrize("inc_plan", ["broadcast", "shuffle"])
-def test_incremental_dedup_empty_baseline_equals_exact_dedup(inc_plan):
+def test_incremental_dedup_empty_baseline_equals_exact_dedup():
     ds = _doc_table([BASE, BASE, BASE + " extra"])
     baseline = ray.data.from_arrow(pa.table({"text_hash": pa.array([], pa.string())}))
     inc = (
-        dedup.incremental_exact_dedup(ds, baseline, plan=inc_plan)
+        dedup.incremental_exact_dedup(ds, baseline)
         .to_pandas().sort_values("text_hash").reset_index(drop=True)
     )
     ref = (
@@ -64,8 +62,7 @@ def test_incremental_dedup_empty_baseline_equals_exact_dedup(inc_plan):
     )
 
 
-@pytest.mark.parametrize("inc_plan", ["broadcast", "shuffle"])
-def test_incremental_minhash_verdicts(inc_plan):
+def test_incremental_minhash_verdicts():
     near = BASE.replace("morning", "evening")
     base_docs = ray.data.from_arrow(pa.table({
         "doc_id": [0, 2],
@@ -77,7 +74,7 @@ def test_incremental_minhash_verdicts(inc_plan):
         "text": [BASE, near, "a totally novel doc about something else entirely", BASE],
     }))
     out = (
-        dedup.incremental_minhash_dedup(new_docs, sigs, threshold=0.4, plan=inc_plan)
+        dedup.incremental_minhash_dedup(new_docs, sigs, threshold=0.4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     # exact copies collapse to est 1.0 vs the baseline doc; the near-dup is
@@ -88,8 +85,7 @@ def test_incremental_minhash_verdicts(inc_plan):
     assert 0.4 <= out.loc[1, "est_jaccard"] < 1.0
 
 
-@pytest.mark.parametrize("inc_plan", ["broadcast", "shuffle"])
-def test_incremental_minhash_within_increment_keep_first(inc_plan):
+def test_incremental_minhash_within_increment_keep_first():
     # no baseline at all: two identical new docs — the larger id is flagged
     # against the smaller, the smaller is unflagged
     sigs = ray.data.from_arrow(pa.table({
@@ -99,14 +95,13 @@ def test_incremental_minhash_within_increment_keep_first(inc_plan):
     new_docs = ray.data.from_arrow(pa.table({
         "doc_id": [5, 9], "text": [BASE, BASE],
     }))
-    out = dedup.incremental_minhash_dedup(new_docs, sigs, plan=inc_plan).to_pandas()
+    out = dedup.incremental_minhash_dedup(new_docs, sigs).to_pandas()
     assert len(out) == 1
     assert out.iloc[0]["doc_id"] == 9 and out.iloc[0]["dup_of"] == 5
     assert out.iloc[0]["est_jaccard"] == 1.0
 
 
-@pytest.mark.parametrize("inc_plan", ["broadcast", "shuffle"])
-def test_incremental_embedding_verdicts(inc_plan):
+def test_incremental_embedding_verdicts():
     rng = np.random.RandomState(3)
     base_vecs = rng.standard_normal((4, 16))
     base = ray.data.from_arrow(pa.table({
@@ -126,7 +121,7 @@ def test_incremental_embedding_verdicts(inc_plan):
     }))
     out = (
         dedup.incremental_embedding_dedup(
-            new, base, threshold=0.9, n_planes=4, probe_radius=4, plan=inc_plan)
+            new, base, threshold=0.9, n_planes=4, probe_radius=4)
         .to_pandas().sort_values("vec_id").reset_index(drop=True)
     )
     assert list(out["vec_id"]) == [11, 13]
@@ -134,8 +129,7 @@ def test_incremental_embedding_verdicts(inc_plan):
     assert out.loc[1, "dup_of"] == 0 and out.loc[1, "cosine"] == 1.0
 
 
-@pytest.mark.parametrize("inc_plan", ["broadcast", "shuffle"])
-def test_incremental_embedding_within_increment_keep_first(inc_plan):
+def test_incremental_embedding_within_increment_keep_first():
     v = np.ones(8)
     base = ray.data.from_arrow(pa.table({
         "vec_id": pa.array([], pa.int64()),
@@ -146,7 +140,7 @@ def test_incremental_embedding_within_increment_keep_first(inc_plan):
         "embedding": pa.array([v.tolist(), v.tolist()], pa.list_(pa.float64())),
     }))
     out = dedup.incremental_embedding_dedup(
-        new, base, threshold=0.9, n_planes=4, probe_radius=4, plan=inc_plan).to_pandas()
+        new, base, threshold=0.9, n_planes=4, probe_radius=4).to_pandas()
     assert len(out) == 1
     assert out.iloc[0]["vec_id"] == 9 and out.iloc[0]["dup_of"] == 5
     assert out.iloc[0]["cosine"] == 1.0
@@ -970,54 +964,60 @@ def test_vec_matrix_bit_identical_to_pylist_path():
 
 def test_incremental_dedup_plans_agree_on_random_overlap():
     # 120 increment docs with planted copies, ~half the distinct texts
-    # already in the baseline: both plans must produce identical novel sets
+    # already in the baseline: the novel set must equal a local reference
+    # (Python sets of md5 plus keep-min / copy count per hash)
+    import hashlib
+
     rng = np.random.default_rng(7)
     texts = [f"document body number {i} with shared filler tokens" for i in range(40)]
     inc_rows = [texts[rng.integers(0, 40)] for _ in range(120)]
     ds = _doc_table(inc_rows)
-    import hashlib
-    baseline = ray.data.from_arrow(pa.table({
-        "text_hash": [hashlib.md5(t.encode()).hexdigest() for t in texts[:20]]
-    }))
-    def run(plan):
-        return (dedup.incremental_exact_dedup(ds, baseline, plan=plan)
-                .to_pandas().sort_values("text_hash").reset_index(drop=True))
-    b, s = run("broadcast"), run("shuffle")
-    assert b.equals(s) and len(b) > 0
+    md5 = [hashlib.md5(t.encode()).hexdigest() for t in inc_rows]
+    seen = {hashlib.md5(t.encode()).hexdigest() for t in texts[:20]}
+    baseline = ray.data.from_arrow(pa.table({"text_hash": sorted(seen)}))
+    want = {}
+    for doc_id, h in enumerate(md5):
+        if h not in seen:
+            keep, n = want.get(h, (doc_id, 0))
+            want[h] = (min(keep, doc_id), n + 1)
+    out = dedup.incremental_exact_dedup(ds, baseline).to_pandas()
+    got = {h: (k, n) for h, k, n in zip(out["text_hash"], out["keep_doc_id"], out["dup_count"])}
+    assert got == want and len(want) > 0
 
 
 def test_incremental_minhash_plans_agree_on_mixed_corpus():
     # exact copies straddling the baseline, near-dups, novel docs, and
-    # within-increment dup saturation: both plans must emit identical
-    # verdict frames (the broadcast plan's candidate filter and per-batch
-    # uncollapsed baseline copies must not change any argmax)
+    # within-increment dup saturation, checked against the scalar golden
+    # (baseline ids even, increment ids odd — the golden's split): the
+    # single baseline scan's candidate filter and its uncollapsed baseline
+    # copies must not change any argmax
+    from pdftext_ray.pipelines import goldens
+
     rng = np.random.default_rng(11)
     words = [f"tok{i}" for i in range(200)]
-    def doc(k, mut=0):
-        idx = rng.integers(0, 200, size=30)
-        t = [words[i] for i in idx]
+    def doc(mut=0, src=None):
+        t = list(src.split()) if src else [words[i] for i in rng.integers(0, 200, size=30)]
         for _ in range(mut):
             t[rng.integers(0, 30)] = words[rng.integers(0, 200)]
         return " ".join(t)
-    base_texts = [doc(i) for i in range(20)]
+    base_texts = [doc() for _ in range(20)] + [doc(1, src=None)] * 3
+    # increment: exact copies of baseline docs (one 5x), near-dups of
+    # baseline docs, within-increment copies, and novel docs
+    inc_texts = ([base_texts[3]] * 5 + [base_texts[7], base_texts[20]]
+                 + [doc(2, src=base_texts[i]) for i in (1, 4, 9)]
+                 + [doc()] * 3 + [doc() for _ in range(8)])
+    base_ids = [2 * i for i in range(len(base_texts))]
+    inc_ids = [2 * i + 1 for i in range(len(inc_texts))]
     base = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(20), pa.int64()),
-        "text": base_texts + [],
-    }))
-    # increment: copies of baseline docs, near-dups, novel, and 5x one copy
-    inc_texts = ([base_texts[3]] * 5 + [base_texts[7]]
-                 + [base_texts[1].replace("tok", "tok", 1)]  # exact again
-                 + [doc(100 + i) for i in range(10)])
+        "doc_id": pa.array(base_ids, pa.int64()), "text": base_texts}))
     new_docs = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(100, 100 + len(inc_texts)), pa.int64()),
-        "text": inc_texts,
-    }))
-    sigs = dedup.minhash_signatures(base)
-    def run(plan):
-        return (dedup.incremental_minhash_dedup(new_docs, sigs, threshold=0.3, plan=plan)
-                .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b, s = run("broadcast"), run("shuffle")
-    assert b.equals(s) and len(b) >= 7
+        "doc_id": pa.array(inc_ids, pa.int64()), "text": inc_texts}))
+    got = (dedup.incremental_minhash_dedup(
+               new_docs, dedup.minhash_signatures(base).materialize(), threshold=0.3)
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    want = goldens.expected_incremental_minhash_table(
+        base_ids + inc_ids, base_texts + inc_texts, threshold=0.3).to_pandas()
+    assert got.equals(want) and len(want) >= 12
 
 
 def test_incremental_minhash_new_sigs_passthrough():

@@ -20,6 +20,20 @@ def test_parse_range_str():
     assert parse_range_str("0,5-7,12,6") == [0, 5, 6, 7, 12]
 
 
+def test_cli_warns_when_workers_dropped_on_attach(monkeypatch, capsys):
+    from pdftext_ray import cli
+
+    inits = []
+    monkeypatch.setattr(ray, "init", lambda **kw: inits.append(kw))
+    monkeypatch.setenv("RAY_ADDRESS", "ray://head:10001")
+    cli._ray_session(8)
+    assert "num_cpus" not in inits[-1]
+    assert capsys.readouterr().err.count("--workers 8 ignored") == 1
+    monkeypatch.setenv("RAY_ADDRESS", "local")
+    cli._ray_session(8)
+    assert inits[-1]["num_cpus"] == 8 and capsys.readouterr().err == ""
+
+
 def test_corpus_deterministic_across_paths(tmp_path):
     """Ray-parallel generation == driver-side generation, bit for bit."""
     via_ray = corpus_io.generate_corpus_ds(25).to_pandas().sort_values("doc_id").reset_index(drop=True)
