@@ -2,9 +2,9 @@
 
 Partition unit = a deterministic chunk of the input's parquet fragment files
 (one output directory per input shard, per the resumable-output pattern).
-Each partition is processed as its own Ray Data pipeline, written atomically
-(tmp dir → rename) together with a ``_manifest/part-{i}.json`` recording the
-input fingerprint, row count and basic metrics. A killed run restarted with
+Each partition is processed as its own Ray Data pipeline, published by
+``storage.commit`` and then recorded in a ``_manifest/part-{i}.json`` with
+the input fingerprint, row count and basic metrics. A killed run restarted with
 the same arguments skips every partition whose manifest is present and whose
 input fingerprint still matches — no re-extraction of completed work.
 
@@ -20,8 +20,10 @@ import os
 import time
 from typing import List, Optional
 
+import pyarrow as pa
 import ray.data
 
+from pdftext_ray import storage
 from pdftext_ray.kernel.document import ExtractConfig
 from pdftext_ray.pipelines import extract as P
 
@@ -47,100 +49,25 @@ def _fingerprint(files: List[str], root: str) -> dict:
     }
 
 
-def run_checkpointed(
-    input_path: str,
-    output_dir: str,
-    cfg: Optional[ExtractConfig] = None,
-    num_partitions: int = 8,
-    skew_aware: bool = True,
-) -> dict:
-    """Run (or resume) a full extraction over ``input_path``.
+def _chunks(files: List[str], num_partitions: int) -> List[List[str]]:
+    """Deterministic partition chunks: files of the ingest layout's
+    ``size_bucket=large`` bucket form a chunk of their own; the rest are
+    dealt round-robin over the other partitions."""
+    large = [f for f in files if f"size_bucket=large{os.sep}" in f]
+    small = [f for f in files if f"size_bucket=large{os.sep}" not in f]
+    n = min(max(1, num_partitions - (1 if large else 0)), max(len(small), 1))
+    return [small[i::n] for i in range(n) if small] + ([large] if large else [])
 
-    Skew handling composes with checkpointing through the ingest layout: if
-    the input is hive-partitioned by ``size_bucket`` (pdftext_ray ingest),
-    files from the ``large`` bucket form their own partitions and take the
-    page-exploded plan; everything else takes the fused doc-parallel plan —
-    each partition reads its files exactly once. Returns
-    {"partitions": n, "processed": k, "skipped": m, "rows": total}.
-    """
-    cfg = cfg or ExtractConfig()
-    files = _input_files(input_path)
-    small_files = [f for f in files if f"size_bucket=large{os.sep}" not in f]
-    large_files = [f for f in files if f"size_bucket=large{os.sep}" in f]
 
-    n_small = min(max(1, num_partitions - (1 if large_files else 0)), max(len(small_files), 1))
-    chunks = [(small_files[i::n_small], "small") for i in range(n_small) if small_files]
-    if large_files:
-        chunks.append((large_files, "large"))
-    num_partitions = len(chunks)
+def _error_rows(part_dir: str) -> int:
+    """Rows with a non-empty ``error`` (0 when the output has no such
+    column), counted by a local read of that one column."""
+    import pyarrow.dataset as pads
 
-    manifest_dir = os.path.join(output_dir, "_manifest")
-    os.makedirs(manifest_dir, exist_ok=True)
-
-    processed = skipped = total_rows = 0
-    for i, (chunk, bucket) in enumerate(chunks):
-        mpath = os.path.join(manifest_dir, f"part-{i}.json")
-        fp = _fingerprint(chunk, input_path)
-        if os.path.exists(mpath):
-            with open(mpath) as f:
-                manifest = json.load(f)
-            if manifest.get("status") == "done" and manifest.get("fingerprint") == fp:
-                skipped += 1
-                total_rows += manifest.get("rows", 0)
-                continue
-        part_dir = os.path.join(output_dir, f"part-{i}")
-        tmp_dir = part_dir + ".tmp"
-        if os.path.isdir(tmp_dir):
-            import shutil
-
-            shutil.rmtree(tmp_dir)
-
-        _t0 = time.monotonic()
-        ds = ray.data.read_parquet(chunk, columns=["doc_id", "spans"])
-        if bucket == "large":
-            out = P.extract_spans_exploded(ds, cfg, page_batch_size=32)
-        elif skew_aware and not any("size_bucket=" in f for f in chunk):
-            # un-bucketed input: size in flight (second pass over the chunk)
-            out = P.extract_spans_skew_aware(ds, cfg)
-        else:
-            out = P.extract_spans(ds, cfg)
-        out.write_parquet(tmp_dir)
-        wall_s = round(time.monotonic() - _t0, 3)
-
-        # per-partition metrics ride in the manifest (lineage + observability)
-        part = ray.data.read_parquet(tmp_dir, columns=["n_pages", "n_chars", "error"])
-        rows = part.count()
-        errors = part.filter(expr="error != ''").count()
-        if os.path.isdir(part_dir):
-            import shutil
-
-            shutil.rmtree(part_dir)
-        os.rename(tmp_dir, part_dir)
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(
-                {
-                    "status": "done",
-                    "partition": i,
-                    "bucket": bucket,
-                    "fingerprint": fp,
-                    "rows": rows,
-                    "errors": errors,
-                    "wall_s": wall_s,
-                    "docs_per_sec": round(rows / wall_s, 1) if wall_s > 0 else None,
-                    "input_files": [os.path.basename(c) for c in chunk],
-                },
-                f,
-            )
-        os.replace(mpath + ".tmp", mpath)
-        processed += 1
-        total_rows += rows
-
-    return {
-        "partitions": num_partitions,
-        "processed": processed,
-        "skipped": skipped,
-        "rows": total_rows,
-    }
+    part = pads.dataset(part_dir, format="parquet")
+    if "error" not in part.schema.names:
+        return 0
+    return part.count_rows(filter=pads.field("error") != "")
 
 
 def run_partitioned_stage(
@@ -148,88 +75,59 @@ def run_partitioned_stage(
     stage_dir: str,
     stage_fn,
     num_partitions: int = 8,
-    columns: Optional[List[str]] = None,
 ) -> dict:
-    """Generic resumable partitioned map stage (the run_checkpointed loop,
-    factored for composed pipelines): split the input's parquet files into
-    deterministic chunks, run ``stage_fn(Dataset) -> Dataset`` per chunk,
-    write each result atomically (tmp → rename) under ``stage_dir/part-i``
-    with a fingerprinted manifest. A restarted run skips every partition
-    whose manifest matches its input fingerprint. Returns
-    {"partitions", "processed", "skipped", "rows", "part_files"} where
-    part_files flat-lists the parquet files of parts that produced rows (an
-    all-gated-out chunk writes a manifest but no parquet; Ray's
-    read_parquet takes files, not a list of directories)."""
+    """Resumable partitioned map stage: split the input's parquet files into
+    deterministic chunks (:func:`_chunks`), run ``stage_fn(files) ->
+    Dataset`` per chunk and publish each result under ``stage_dir/part-i``
+    by :func:`pdftext_ray.storage.commit`, then record a fingerprinted
+    ``_manifest/part-i.json`` (rows, errors, wall time, throughput, input
+    files). A restarted run skips every partition whose manifest matches
+    its input fingerprint. Returns {"partitions", "processed", "skipped",
+    "rows", "part_files"} where part_files flat-lists the parquet files of
+    every part (Ray's read_parquet takes files, not a list of directories;
+    a part with no rows holds one typed empty file)."""
     files = _input_files(input_path)
-    n = min(max(1, num_partitions), len(files))
-    chunks = [files[i::n] for i in range(n)]
-
+    chunks = _chunks(files, num_partitions)
     manifest_dir = os.path.join(stage_dir, "_manifest")
     os.makedirs(manifest_dir, exist_ok=True)
-
-    def _part_files(part_dir: str) -> List[str]:
-        return sorted(
-            os.path.join(part_dir, f)
-            for f in os.listdir(part_dir)
-            if f.endswith(".parquet")
-        )
+    storage.recover(stage_dir)
 
     processed = skipped = total_rows = 0
     part_files: List[str] = []
     for i, chunk in enumerate(chunks):
-        mpath = os.path.join(manifest_dir, f"part-{i}.json")
-        part_dir = os.path.join(stage_dir, f"part-{i}")
+        name = f"part-{i}"
+        mpath = os.path.join(manifest_dir, f"{name}.json")
+        part_dir = os.path.join(stage_dir, name)
         fp = _fingerprint(chunk, input_path)
+        manifest = {}
         if os.path.exists(mpath):
             with open(mpath) as f:
                 manifest = json.load(f)
-            if manifest.get("status") == "done" and manifest.get("fingerprint") == fp:
-                skipped += 1
-                total_rows += manifest.get("rows", 0)
-                if manifest.get("rows", 0):
-                    part_files.extend(_part_files(part_dir))
-                continue
-        tmp_dir = part_dir + ".tmp"
-        if os.path.isdir(tmp_dir):
-            import shutil
-
-            shutil.rmtree(tmp_dir)
-
-        _t0 = time.monotonic()
-        out = stage_fn(ray.data.read_parquet(chunk, columns=columns))
-        out.write_parquet(tmp_dir)
-        wall_s = round(time.monotonic() - _t0, 3)
-        # a fully-filtered partition writes no files — and Ray then doesn't
-        # even create the directory; the rename below still needs one
-        os.makedirs(tmp_dir, exist_ok=True)
-        wrote = any(f.endswith(".parquet") for f in os.listdir(tmp_dir))
-        rows = ray.data.read_parquet(tmp_dir).count() if wrote else 0
-        if os.path.isdir(part_dir):
-            import shutil
-
-            shutil.rmtree(part_dir)
-        os.rename(tmp_dir, part_dir)
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(
-                {
-                    "status": "done",
-                    "partition": i,
-                    "fingerprint": fp,
-                    "rows": rows,
-                    "wall_s": wall_s,
-                    "rows_per_sec": round(rows / wall_s, 1) if wall_s > 0 else None,
-                    "input_files": [os.path.relpath(c, input_path) for c in chunk],
-                },
-                f,
-            )
-        os.replace(mpath + ".tmp", mpath)
-        processed += 1
-        total_rows += rows
-        if rows:
-            part_files.extend(_part_files(part_dir))
+        if manifest.get("status") == "done" and manifest.get("fingerprint") == fp:
+            skipped += 1
+        else:
+            _t0 = time.monotonic()
+            rows = storage.commit(stage_dir, {name: stage_fn(chunk)})[name]
+            wall_s = round(time.monotonic() - _t0, 3)
+            manifest = {
+                "status": "done",
+                "partition": i,
+                "fingerprint": fp,
+                "rows": rows,
+                "errors": _error_rows(part_dir),
+                "wall_s": wall_s,
+                "docs_per_sec": round(rows / wall_s, 1) if wall_s > 0 else None,
+                "input_files": [os.path.relpath(c, input_path) for c in chunk],
+            }
+            with open(mpath + ".tmp", "w") as f:
+                json.dump(manifest, f)
+            os.replace(mpath + ".tmp", mpath)
+            processed += 1
+        total_rows += manifest.get("rows", 0)
+        part_files.extend(storage.parquet_files(part_dir))
 
     return {
-        "partitions": n,
+        "partitions": len(chunks),
         "processed": processed,
         "skipped": skipped,
         "rows": total_rows,
@@ -237,36 +135,36 @@ def run_partitioned_stage(
     }
 
 
-def _finalize_atomic(ds: ray.data.Dataset, final_dir: str) -> int:
-    """Write the (cheap, global) phase-2 result atomically; returns rows."""
-    tmp = final_dir + ".tmp"
-    if os.path.isdir(tmp):
-        import shutil
+def run_checkpointed(
+    input_path: str,
+    output_dir: str,
+    cfg: Optional[ExtractConfig] = None,
+    num_partitions: int = 8,
+) -> dict:
+    """Run (or resume) a full extraction over ``input_path`` through
+    :func:`run_partitioned_stage`.
 
-        shutil.rmtree(tmp)
-    ds.write_parquet(tmp)
-    os.makedirs(tmp, exist_ok=True)  # an empty write creates no directory
-    if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
-        # empty result: still write one schema-carrying part so the final
-        # dir reads back as an empty TYPED dataset (the _write_orc parity)
-        import pyarrow as pa
-        import pyarrow.parquet as pq
+    Skew handling composes with checkpointing through the ingest layout: if
+    the input is hive-partitioned by ``size_bucket`` (pdftext_ray ingest),
+    files from the ``large`` bucket form their own partition and take the
+    page-exploded plan, other bucketed files the fused doc-parallel plan —
+    each read once; un-bucketed input is sized in flight (a second pass over
+    its chunk). Returns {"partitions": n, "processed": k, "skipped": m,
+    "rows": total}.
+    """
+    cfg = cfg or ExtractConfig()
 
-        sch = ds.schema()
-        empty = (
-            pa.table({n: pa.array([], t) for n, t in zip(sch.names, sch.base_schema.types)})
-            if sch is not None else pa.table({})
-        )
-        pq.write_table(empty, os.path.join(tmp, "part-empty.parquet"))
-        rows = 0
-    else:
-        rows = ray.data.read_parquet(tmp).count()
-    if os.path.isdir(final_dir):
-        import shutil
+    def extract(files: List[str]) -> ray.data.Dataset:
+        ds = ray.data.read_parquet(files, columns=["doc_id", "spans"])
+        if all(f"size_bucket=large{os.sep}" in f for f in files):
+            return P.extract_spans_exploded(ds, cfg, page_batch_size=32)
+        if any("size_bucket=" in f for f in files):
+            return P.extract_spans(ds, cfg)
+        return P.extract_spans_skew_aware(ds, cfg)
 
-        shutil.rmtree(final_dir)
-    os.rename(tmp, final_dir)
-    return rows
+    stats = run_partitioned_stage(input_path, output_dir, extract, num_partitions)
+    del stats["part_files"]
+    return stats
 
 
 def run_clean_checkpointed(
@@ -307,35 +205,32 @@ def run_clean_checkpointed(
     stats = run_partitioned_stage(
         input_path,
         os.path.join(output_dir, "gated"),
-        lambda ds: ds.map_batches(gate, batch_format="pyarrow"),
+        lambda files: ray.data.read_parquet(files, columns=[id_col, text_col])
+        .map_batches(gate, batch_format="pyarrow"),
         num_partitions=num_partitions,
-        columns=[id_col, text_col],
     )
-    final_dir = os.path.join(output_dir, "final")
-    if not stats["part_files"]:  # every doc gated out
-        import pyarrow as pa
-
-        empty = ray.data.from_arrow(pa.table({
+    if not stats["rows"]:
+        # every doc gated out: a grouped agg over no rows runs no group and
+        # loses every column, so the typed empty final is built here
+        final = ray.data.from_arrow(pa.table({
             id_col: pa.array([], pa.int64()),
             "n_tokens": pa.array([], pa.int64()),
             "alpha_ratio": pa.array([], pa.float64()),
             "stop_ratio": pa.array([], pa.float64()),
         }))
-        rows = _finalize_atomic(empty, final_dir)
-        return {**stats, "final_rows": rows, "final_dir": final_dir}
-    gated = ray.data.read_parquet(stats["part_files"])
-    final = hash_grouped_agg(
-        gated,
-        "text_hash",
-        {
-            id_col: (id_col, "min"),
-            "n_tokens": ("n_tokens", "min"),
-            "alpha_ratio": ("alpha_ratio", "min"),
-            "stop_ratio": ("stop_ratio", "min"),
-        },
-    ).drop_columns(["text_hash"])
-    rows = _finalize_atomic(final, final_dir)
-    return {**stats, "final_rows": rows, "final_dir": final_dir}
+    else:
+        final = hash_grouped_agg(
+            ray.data.read_parquet(stats["part_files"]),
+            "text_hash",
+            {
+                id_col: (id_col, "min"),
+                "n_tokens": ("n_tokens", "min"),
+                "alpha_ratio": ("alpha_ratio", "min"),
+                "stop_ratio": ("stop_ratio", "min"),
+            },
+        ).drop_columns(["text_hash"])
+    rows = storage.commit(output_dir, {"final": final})["final"]
+    return {**stats, "final_rows": rows, "final_dir": os.path.join(output_dir, "final")}
 
 
 def run_mixture_checkpointed(
@@ -373,15 +268,12 @@ def run_mixture_checkpointed(
     stats = run_partitioned_stage(
         input_path,
         os.path.join(output_dir, "gated"),
-        lambda ds: ds.map_batches(gate, batch_format="pyarrow"),
+        lambda files: ray.data.read_parquet(files, columns=[id_col, lang_col, text_col])
+        .map_batches(gate, batch_format="pyarrow"),
         num_partitions=num_partitions,
-        columns=[id_col, lang_col, text_col],
     )
-    final_dir = os.path.join(output_dir, "final")
-    if not stats["part_files"]:
-        import pyarrow as pa
-
-        empty = ray.data.from_arrow(pa.table({
+    if not stats["rows"]:  # every doc gated out (see run_clean_checkpointed)
+        final = ray.data.from_arrow(pa.table({
             id_col: pa.array([], pa.int64()),
             lang_col: pa.array([], pa.string()),
             "n_tokens": pa.array([], pa.int64()),
@@ -390,12 +282,10 @@ def run_mixture_checkpointed(
             "seq_pos": pa.array([], pa.int64()),
             "n_seqs": pa.array([], pa.int64()),
         }))
-        rows = _finalize_atomic(empty, final_dir)
-        return {**stats, "final_rows": rows, "final_dir": final_dir}
-    gated = ray.data.read_parquet(stats["part_files"])
-    final = mixture_from_gated(
-        gated, budget=budget, alpha=alpha,
-        lang_col=lang_col, id_col=id_col, seed=seed,
-    )
-    rows = _finalize_atomic(final, final_dir)
-    return {**stats, "final_rows": rows, "final_dir": final_dir}
+    else:
+        final = mixture_from_gated(
+            ray.data.read_parquet(stats["part_files"]), budget=budget, alpha=alpha,
+            lang_col=lang_col, id_col=id_col, seed=seed,
+        )
+    rows = storage.commit(output_dir, {"final": final})["final"]
+    return {**stats, "final_rows": rows, "final_dir": os.path.join(output_dir, "final")}

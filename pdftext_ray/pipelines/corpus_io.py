@@ -16,11 +16,11 @@ import os
 from typing import Optional
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data
 
 from pdftext_ray.corpus import generate_batch, generate_document
 from pdftext_ray.kernel.document import ExtractConfig, extract_document
+from pdftext_ray.pipelines.goldens import materialize_golden
 from pdftext_ray.stages import schemas
 
 
@@ -190,31 +190,13 @@ def expected_paginated_table(
 
 
 def materialize_expected_paginated(path: str, n_docs: int, seed: int = 42, profile: str = "mixed") -> str:
-    if os.path.exists(path):
-        return path
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(expected_paginated_table(n_docs, seed, profile), tmp)
-    os.replace(tmp, path)
-    return path
+    return materialize_golden(path, lambda: expected_paginated_table(n_docs, seed, profile))
 
 
 def materialize_expected(path: str, n_docs: int, seed: int = 42, profile: str = "mixed") -> str:
     """Write the golden flat table as one parquet file (idempotent/atomic)."""
-    if os.path.exists(path):
-        return path
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(expected_flat_table(n_docs, seed, profile), tmp)
-    os.replace(tmp, path)
-    return path
+    return materialize_golden(path, lambda: expected_flat_table(n_docs, seed, profile))
 
 
 def materialize_expected_plain(path: str, n_docs: int, seed: int = 42, profile: str = "mixed") -> str:
-    if os.path.exists(path):
-        return path
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(expected_plain_table(n_docs, seed, profile), tmp)
-    os.replace(tmp, path)
-    return path
+    return materialize_golden(path, lambda: expected_plain_table(n_docs, seed, profile))

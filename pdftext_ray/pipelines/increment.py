@@ -9,8 +9,8 @@ against an artifact directory and writes the updated artifacts atomically —
 the composed-pipeline analog of the reference's keep-first contract
 (`/root/reference/pdftext/pdf/chars.py:102-113`) extended across runs.
 
-Artifact layout under ``artifact_dir`` (all parquet, each swapped in by
-rename — see :func:`_write_atomic`):
+Artifact layout under ``artifact_dir`` (all parquet; one
+:func:`pdftext_ray.storage.commit` per day publishes them together):
 
 * ``hashes/``  — (text_hash) of every distinct text ever kept.
 * ``sigs/``    — (id, minhash) MinHash signatures of every doc ever seen.
@@ -22,24 +22,24 @@ against empty baselines (every op handles the empty side).
 
 Scale shape: each op has one plan — the increment's keys are broadcast and
 the baseline artifacts are SCANNED, never shuffled; all exchanges are
-increment-sized. The three artifact rewrites stream (union of the old
-table's scan with the new rows).
+increment-sized. The artifact rewrites stream (union of the old table's
+scan with the new rows) into the day's commit, which either publishes all
+of them or none: a day that raises has not committed, and rerunning it is
+always correct.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 
-import numpy as np
 import pyarrow as pa
 import ray.data
 
+from pdftext_ray import storage
+
 
 def _read_or_empty(path: str, schema: pa.Schema, columns=None) -> ray.data.Dataset:
-    from pdftext_ray import storage
-
-    if os.path.isdir(path) and any(f.endswith(".parquet") for f in os.listdir(path)):
+    if storage.parquet_files(path):
         # rows-aware split (SURVEY §12): the artifact scans
         # are LIGHT vectorized probes, and Ray's default splitter turns a
         # small artifact into dozens of tiny blocks whose count then
@@ -48,39 +48,6 @@ def _read_or_empty(path: str, schema: pa.Schema, columns=None) -> ray.data.Datas
         # baseline blocks)
         return storage.read_table(path, columns=columns, rows_per_block=65536)
     return ray.data.from_arrow(schema.empty_table())
-
-
-def _write_atomic(ds: ray.data.Dataset, out_dir: str) -> int:
-    """Write ``ds`` as parquet to ``out_dir`` in place of its old contents;
-    returns rows written. The swap is ``out_dir`` → ``out_dir.old``, tmp →
-    ``out_dir``, then the old copy is deleted: a crash at any step leaves a
-    complete copy that :func:`_recover` puts back."""
-    tmp = out_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    ds.write_parquet(tmp)
-    os.makedirs(tmp, exist_ok=True)  # all-empty unions may write no files
-    n = ray.data.read_parquet(tmp).count() if any(
-        f.endswith(".parquet") for f in os.listdir(tmp)) else 0
-    old = out_dir + ".old"
-    if os.path.isdir(out_dir):
-        os.rename(out_dir, old)
-    os.rename(tmp, out_dir)
-    shutil.rmtree(old, ignore_errors=True)
-    return n
-
-
-def _recover(out_dir: str) -> None:
-    """Undo a :func:`_write_atomic` swap cut short by a crash: a lone
-    ``out_dir.old`` is the last complete artifact and is renamed back;
-    beside a complete ``out_dir`` it is stale and deleted."""
-    old = out_dir + ".old"
-    if not os.path.isdir(old):
-        return
-    if os.path.isdir(out_dir):
-        shutil.rmtree(old)
-    else:
-        os.rename(old, out_dir)
 
 
 def run_increment(
@@ -107,21 +74,19 @@ def run_increment(
     Returns {"new_docs", "novel_hashes", "flagged", "assigned", "remapped",
     "hashes_rows", "sigs_rows", "labels_rows"} — the per-increment metrics a
     daily run logs. Ids must be globally unique and monotone across days
-    (the incremental ops' shared contract). Increments are sequential by
-    design: each artifact's swap survives a crash at any step (an
-    interrupted swap is undone on entry), but the three artifacts are
-    swapped one after another, and nothing guards against a CONCURRENT
-    second increment — run one increment at a time per artifact_dir (the
-    daily-loop shape)."""
+    (the incremental ops' shared contract). The three artifacts are
+    published by ONE commit (:func:`pdftext_ray.storage.commit`), and an
+    interrupted commit is finished or undone on entry, so this raises only
+    when the day did not commit: retrying after an exception is always
+    correct. Nothing guards against a CONCURRENT second increment — run one
+    increment at a time per artifact_dir (the daily-loop shape)."""
     from pdftext_ray.ops import cluster, dedup
 
     id_type = new_docs.schema().base_schema.field(id_col).type
     hashes_dir = os.path.join(artifact_dir, "hashes")
     sigs_dir = os.path.join(artifact_dir, "sigs")
     labels_dir = os.path.join(artifact_dir, "labels")
-    os.makedirs(artifact_dir, exist_ok=True)
-    for d in (hashes_dir, sigs_dir, labels_dir):
-        _recover(d)
+    storage.recover(artifact_dir)
 
     new_docs = new_docs.materialize()  # consumed by three stages
     n_new = new_docs.count()
@@ -132,9 +97,7 @@ def run_increment(
     novel = dedup.incremental_exact_dedup(
         new_docs, baseline_hashes, id_col=id_col, text_col=text_col
     ).materialize()
-    novel_hash_rows = novel.select_columns(["text_hash"])
-    hashes_rows = _write_atomic(
-        baseline_hashes.union(novel_hash_rows), hashes_dir)
+    outputs = {"hashes": baseline_hashes.union(novel.select_columns(["text_hash"]))}
 
     # -- 2. minhash --------------------------------------------------------
     sig_schema = pa.schema([(id_col, id_type), ("minhash", pa.list_(pa.int64()))])
@@ -149,7 +112,7 @@ def run_increment(
         threshold=threshold, id_col=id_col, text_col=text_col,
         new_sigs=new_sigs,
     ).materialize()
-    sigs_rows = _write_atomic(baseline_sigs.union(new_sigs), sigs_dir)
+    outputs["sigs"] = baseline_sigs.union(new_sigs)
 
     # -- 3. cluster stability ----------------------------------------------
     label_schema = pa.schema([("doc_id", id_type), ("cluster_id", id_type)])
@@ -169,23 +132,21 @@ def run_increment(
             verdicts.map_batches(as_pairs, batch_format="pyarrow"),
             baseline_labels,
         ).materialize()
-        updated_labels = cluster.apply_incremental_cc(baseline_labels, delta)
-        labels_rows = _write_atomic(updated_labels, labels_dir)
+        outputs["labels"] = cluster.apply_incremental_cc(baseline_labels, delta)
         if delta.count():
             kinds = delta.select_columns(["kind"]).to_pandas()["kind"]
-    elif not os.path.isdir(labels_dir):
-        labels_rows = _write_atomic(
-            ray.data.from_arrow(label_schema.empty_table()), labels_dir)
-    else:
-        # no new edges: the corpus-sized label table is NOT rewritten
-        labels_rows = baseline_labels.count()
+    elif not storage.parquet_files(labels_dir):
+        outputs["labels"] = ray.data.from_arrow(label_schema.empty_table())
+    rows = storage.commit(artifact_dir, outputs)
+    if "labels" not in rows:  # no new edges: the label table is NOT rewritten
+        rows["labels"] = storage.parquet_row_count(labels_dir)
     return {
         "new_docs": n_new,
         "novel_hashes": novel.count(),
         "flagged": verdicts.count(),
         "assigned": int((kinds == "assign").sum()) if kinds is not None else 0,
         "remapped": int((kinds == "remap").sum()) if kinds is not None else 0,
-        "hashes_rows": hashes_rows,
-        "sigs_rows": sigs_rows,
-        "labels_rows": labels_rows,
+        "hashes_rows": rows["hashes"],
+        "sigs_rows": rows["sigs"],
+        "labels_rows": rows["labels"],
     }

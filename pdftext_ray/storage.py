@@ -3,12 +3,15 @@
 The engine's canonical table format is Lance (per the north rule); this
 sandbox has no ``pylance`` wheel, so the same schema round-trips through
 Parquet. All call sites go through these two functions; swapping the format
-is a deployment detail, not a code change.
+is a deployment detail, not a code change. Pipelines publish output
+directories through :func:`commit`, one call per set of outputs that belong
+together.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Optional
 
 import pyarrow as pa
@@ -71,7 +74,7 @@ def _stripped_file_schema(uri: str, columns: Optional[list]):
     return sch
 
 
-def _parquet_row_count(uri: str) -> Optional[int]:
+def parquet_row_count(uri: str) -> Optional[int]:
     """Total rows of a parquet file or directory, from footers only (no
     data read). Returns None when the count can't be had cheaply."""
     import pyarrow.parquet as pq
@@ -134,7 +137,7 @@ def read_table(uri: str, columns: Optional[list] = None,
     if rows_per_block is not None and "override_num_blocks" not in kwargs:
         if rows_per_block <= 0:
             raise ValueError(f"rows_per_block must be positive, got {rows_per_block}")
-        n_rows = _parquet_row_count(uri)
+        n_rows = parquet_row_count(uri)
         if n_rows is not None:
             kwargs["override_num_blocks"] = min(256, max(1, -(-n_rows // rows_per_block)))
     return ray.data.read_parquet(uri, columns=columns, **kwargs)
@@ -160,6 +163,87 @@ def write_table(ds: ray.data.Dataset, uri: str, **kwargs) -> None:
         _write_orc(ds, uri)
     else:
         ds.write_parquet(uri, **kwargs)
+
+
+_COMMITTED = "_committed"
+
+
+def commit(root: str, datasets: dict) -> dict:
+    """Publish each ``{name: Dataset}`` as parquet under ``root/<name>``, all
+    in one commit; returns ``{name: rows}`` from the new files' footers.
+
+    The protocol is an undo log with one commit record. Every dataset is
+    written to ``<name>.tmp`` (a dataset with no rows gets one typed empty
+    part). Then each ``<name>`` moves to ``<name>.old`` (an absent one gets
+    an empty ``.old``) and ``<name>.tmp`` to ``<name>``. Replacing the
+    ``_committed`` marker into ``root`` is the commit point; the ``.old``
+    copies and then the marker are deleted last, and a failure there does
+    not raise because :func:`recover` repeats that step. So a call that
+    raises has committed nothing: :func:`recover`, which runs first, puts
+    every ``.old`` back. One writer per ``root`` at a time.
+    """
+    import pyarrow.parquet as pq
+
+    recover(root)
+    os.makedirs(root, exist_ok=True)
+    rows = {}
+    for name, ds in datasets.items():
+        tmp = os.path.join(root, name + ".tmp")
+        ds.write_parquet(tmp)
+        if not parquet_files(tmp):
+            os.makedirs(tmp, exist_ok=True)
+            sch = ds.schema()
+            empty = pa.schema(zip(sch.names, sch.types)) if sch is not None else pa.schema([])
+            pq.write_table(empty.empty_table(), os.path.join(tmp, "part-empty.parquet"))
+        rows[name] = parquet_row_count(tmp)
+    for name in datasets:
+        path = os.path.join(root, name)
+        if os.path.isdir(path):
+            os.rename(path, path + ".old")
+        else:
+            os.makedirs(path + ".old")
+        os.rename(path + ".tmp", path)
+    marker = os.path.join(root, _COMMITTED)
+    open(marker + ".tmp", "w").close()
+    os.replace(marker + ".tmp", marker)
+    try:
+        _drop_old(root)
+    except OSError:
+        pass
+    return rows
+
+
+def recover(root: str) -> None:
+    """Finish or undo a :func:`commit` that a crash cut short: with the
+    ``_committed`` marker the ``.old`` copies and the marker are deleted;
+    without it every ``.old`` goes back in place of its name. Stray
+    ``.tmp`` writes are deleted either way. Safe to repeat after a crash
+    inside it. An undone first commit of a name leaves an empty directory."""
+    if not os.path.isdir(root):
+        return
+    if os.path.exists(os.path.join(root, _COMMITTED)):
+        _drop_old(root)
+    for entry in sorted(os.listdir(root)):
+        path = os.path.join(root, entry)
+        if entry.endswith(".tmp"):
+            shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
+        elif entry.endswith(".old"):
+            shutil.rmtree(path[:-4], ignore_errors=True)
+            os.rename(path, path[:-4])
+
+
+def _drop_old(root: str) -> None:
+    for entry in sorted(os.listdir(root)):
+        if entry.endswith(".old"):
+            shutil.rmtree(os.path.join(root, entry))
+    os.remove(os.path.join(root, _COMMITTED))
+
+
+def parquet_files(path: str) -> list:
+    """Sorted parquet part files directly under ``path`` ([] if absent)."""
+    if not os.path.isdir(path):
+        return []
+    return sorted(os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet"))
 
 
 def _require_local_orc(uri: str) -> None:

@@ -42,11 +42,11 @@ def test_partitioned_stage_interrupt_then_resume(docs_corpus, tmp_path):
     stage_dir = str(tmp_path / "stage")
     calls = {"n": 0}
 
-    def flaky(ds):
+    def flaky(files):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise RuntimeError("simulated crash mid-run")
-        return ds.select_columns(["doc_id", "n_chars"])
+        return ray.data.read_parquet(files, columns=["doc_id", "n_chars"])
 
     with pytest.raises(RuntimeError, match="simulated crash"):
         checkpoint.run_partitioned_stage(docs_corpus, stage_dir, flaky, num_partitions=4)
@@ -55,12 +55,47 @@ def test_partitioned_stage_interrupt_then_resume(docs_corpus, tmp_path):
 
     r2 = checkpoint.run_partitioned_stage(
         docs_corpus, stage_dir,
-        lambda ds: ds.select_columns(["doc_id", "n_chars"]),
+        lambda files: ray.data.read_parquet(files, columns=["doc_id", "n_chars"]),
         num_partitions=4,
     )
     assert r2["skipped"] == 2 and r2["processed"] == 2
     got = ray.data.read_parquet(r2["part_files"]).to_pandas()
     want = ray.data.read_parquet(docs_corpus, columns=["doc_id", "n_chars"]).to_pandas()
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
+
+
+def test_partitioned_stage_commit_crash_then_resume(docs_corpus, tmp_path, monkeypatch):
+    """A crash at a partition's commit point, after its new part was renamed
+    in beside the old one, is undone on resume: every input doc is read
+    back exactly once and no commit leftovers remain."""
+    out = str(tmp_path / "stage")
+
+    def stage(files):
+        return ray.data.read_parquet(files, columns=["doc_id", "n_chars"])
+
+    checkpoint.run_partitioned_stage(docs_corpus, out, stage, num_partitions=4)
+    for i in (2, 3):  # partitions 2 and 3 must run again
+        os.remove(os.path.join(out, "_manifest", f"part-{i}.json"))
+
+    real_replace = os.replace
+
+    def crash_at_commit_point(src, dst):
+        if os.path.basename(dst) == "_committed":
+            raise OSError("simulated crash at the commit point")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_at_commit_point)
+    with pytest.raises(OSError, match="simulated crash"):
+        checkpoint.run_partitioned_stage(docs_corpus, out, stage, num_partitions=4)
+    monkeypatch.undo()
+    assert {"part-2", "part-2.old"} <= set(os.listdir(out))
+
+    r = checkpoint.run_partitioned_stage(docs_corpus, out, stage, num_partitions=4)
+    assert r["processed"] == 2 and r["skipped"] == 2
+    assert sorted(os.listdir(out)) == ["_manifest", "part-0", "part-1", "part-2", "part-3"]
+    got = ray.data.read_parquet(out).to_pandas()
+    want = ray.data.read_parquet(docs_corpus, columns=["doc_id", "n_chars"]).to_pandas()
+    assert got["doc_id"].is_unique
     pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
 
 
@@ -124,3 +159,19 @@ def test_clean_checkpointed_all_gated_out(tmp_path):
     assert r["final_rows"] == 0
     back = ray.data.read_parquet(r["final_dir"])
     assert set(back.schema().names) == {"doc_id", "n_tokens", "alpha_ratio", "stop_ratio"}
+
+
+def test_mixture_checkpointed_all_gated_out(tmp_path):
+    """The mixture twin: an all-gated-out run still lands a typed empty final."""
+    d = tmp_path / "tiny_in"
+    d.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": [1, 2], "lang": ["en", "de"], "text": ["x", "y"]}),
+        str(d / "docs-0.parquet"),
+    )
+    out = str(tmp_path / "mix_out")
+    r = checkpoint.run_mixture_checkpointed(str(d), out, num_partitions=2)
+    assert r["final_rows"] == 0
+    back = ray.data.read_parquet(r["final_dir"])
+    assert set(back.schema().names) == {
+        "doc_id", "lang", "n_tokens", "start_offset", "seq_id", "seq_pos", "n_seqs"}

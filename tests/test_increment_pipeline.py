@@ -2,13 +2,17 @@
 artifacts must equal the trivially-computed from-scratch state (hash set,
 signature census, union-find clusters over all verdict edges)."""
 
+import contextlib
 import hashlib
 import os
+import shutil
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 
+from pdftext_ray import storage
 from pdftext_ray.pipelines import increment
 
 
@@ -129,53 +133,116 @@ def test_string_ids_roll_forward(tmp_path):
     assert dict(zip(labels["doc_id"], labels["cluster_id"])) == {"d01": "d01", "d02": "d01"}
 
 
-def _labels(art):
-    df = ray.data.read_parquet(f"{art}/labels").to_pandas()
-    return dict(zip(df["doc_id"], df["cluster_id"]))
+# day 2 brings an exact copy (doc 10) and a near copy (doc 11) of day 1's doc 0
+_BODY = ("the quick brown fox jumps over the lazy dog and runs far away "
+         "into the woods where a stream flows past tall trees")
+_DAY1 = [(0, _BODY), (1, "completely unrelated text about ray data pipelines")]
+_DAY2 = [(10, _BODY), (11, _BODY + " again")]
+
+# every filesystem call day 2's commit makes, as (function, entry under the
+# artifact dir): the swaps, the commit point, then the clean-up
+_DAY2_COMMIT_CALLS = [
+    ("rename", "hashes"), ("rename", "hashes.tmp"),
+    ("rename", "sigs"), ("rename", "sigs.tmp"),
+    ("rename", "labels"), ("rename", "labels.tmp"),
+    ("replace", "_committed.tmp"),
+    ("rmtree", "hashes.old"), ("rmtree", "labels.old"), ("rmtree", "sigs.old"),
+    ("remove", "_committed"),
+]
 
 
-def test_crash_mid_swap_recovers(tmp_path, monkeypatch):
-    # a crash between the two renames of an artifact swap leaves only
-    # hashes.old; the next run must put it back and then give exactly the
-    # labels of an uninterrupted run
-    body = ("the quick brown fox jumps over the lazy dog and runs far away "
-            "into the woods where a stream flows past tall trees")
-    day1 = [(0, body), (1, "completely unrelated text about ray data pipelines")]
-    day2 = [(10, body), (11, body + " again")]
-    clean, art = str(tmp_path / "clean"), str(tmp_path / "crashed")
-    for d in (clean, art):
-        increment.run_increment(_docs(day1), d, threshold=0.5)
-    increment.run_increment(_docs(day2), clean, threshold=0.5)
+@contextlib.contextmanager
+def _fs_calls(root, fail=None):
+    """Record the rename/replace/rmtree/remove calls on entries of ``root``;
+    the first call equal to ``fail`` raises OSError instead of running."""
+    calls = []
+    real = {"rename": os.rename, "replace": os.replace,
+            "remove": os.remove, "rmtree": shutil.rmtree}
 
-    real_rename, calls = os.rename, []
+    def wrap(fn):
+        def call(path, *args, **kwargs):
+            if str(path).startswith(root + os.sep):
+                calls.append((fn, os.path.relpath(path, root)))
+                if calls[-1] == fail:
+                    raise OSError(f"injected crash at {fail}")
+            return real[fn](path, *args, **kwargs)
+        return call
 
-    def crash_on_second(src, dst):
-        if str(src).startswith(art):
-            calls.append((src, dst))
-            if len(calls) == 2:
-                raise OSError("simulated crash")
-        real_rename(src, dst)
-
-    monkeypatch.setattr(os, "rename", crash_on_second)
-    with pytest.raises(OSError, match="simulated crash"):
-        increment.run_increment(_docs(day2), art, threshold=0.5)
-    monkeypatch.undo()
-    hashes = os.path.join(art, "hashes")
-    assert calls[0] == (hashes, hashes + ".old")
-    assert not os.path.isdir(hashes) and os.path.isdir(hashes + ".old")
-
-    m = increment.run_increment(_docs(day2), art, threshold=0.5)
-    assert not os.path.exists(hashes + ".old")
-    assert m["novel_hashes"] == 1 and m["flagged"] == 2
-    assert _labels(art) == _labels(clean)
+    with pytest.MonkeyPatch.context() as mp:
+        for fn in ("rename", "replace", "remove"):
+            mp.setattr(os, fn, wrap(fn))
+        mp.setattr(shutil, "rmtree", wrap("rmtree"))
+        yield calls
 
 
-def test_recover_drops_stale_old_copy(tmp_path):
-    # a crash after the second rename leaves both copies: the new one wins
-    out = tmp_path / "labels"
-    (tmp_path / "labels.old").mkdir()
-    out.mkdir()
-    (out / "part.parquet").write_bytes(b"")
-    increment._recover(str(out))
-    assert out.is_dir() and (out / "part.parquet").exists()
-    assert not (tmp_path / "labels.old").exists()
+def _artifacts(art):
+    hashes, sigs, labels = (
+        pq.read_table(f"{art}/{name}").to_pandas() for name in ("hashes", "sigs", "labels"))
+    return (
+        sorted(hashes["text_hash"]),
+        {i: list(s) for i, s in zip(sigs["doc_id"], sigs["minhash"])},
+        dict(zip(labels["doc_id"], labels["cluster_id"])),
+    )
+
+
+@pytest.fixture(scope="module")
+def two_days(tmp_path_factory):
+    """Day 1's artifacts, and day 2 run on a copy of them with its
+    filesystem calls recorded."""
+    root = tmp_path_factory.mktemp("days")
+    day1, clean = str(root / "day1"), str(root / "clean")
+    increment.run_increment(_docs(_DAY1), day1, threshold=0.5)
+    shutil.copytree(day1, clean)
+    with _fs_calls(clean) as calls:
+        metrics = increment.run_increment(_docs(_DAY2), clean, threshold=0.5)
+    return day1, clean, metrics, calls
+
+
+def test_day2_commit_calls(two_days):
+    _, clean, metrics, calls = two_days
+    assert calls == _DAY2_COMMIT_CALLS
+    assert sorted(os.listdir(clean)) == ["hashes", "labels", "sigs"]
+    assert metrics["sigs_rows"] == 4
+    assert _artifacts(clean)[2] == {0: 0, 10: 0, 11: 0}
+
+
+@pytest.mark.parametrize(
+    "fail", _DAY2_COMMIT_CALLS, ids=[f"{fn}-{entry}" for fn, entry in _DAY2_COMMIT_CALLS])
+def test_day2_crash_at_any_commit_step(two_days, tmp_path, fail):
+    # a crash at any filesystem step of the day's commit either raises
+    # (nothing committed: the rerun equals the clean run) or leaves the
+    # clean run's artifacts in place; the labels-swap case is the one where
+    # per-artifact swaps left sigs a day ahead of labels
+    day1, clean, clean_metrics, _ = two_days
+    art = str(tmp_path / "crashed")
+    shutil.copytree(day1, art)
+    try:
+        with _fs_calls(art, fail) as calls:
+            metrics = increment.run_increment(_docs(_DAY2), art, threshold=0.5)
+        committed = True
+    except OSError as e:
+        assert "injected crash" in str(e)
+        committed = False
+        metrics = increment.run_increment(_docs(_DAY2), art, threshold=0.5)
+    assert fail in calls
+    assert metrics == clean_metrics
+    assert _artifacts(art) == _artifacts(clean)
+    if committed:  # a failed clean-up after the commit point: next entry's job
+        storage.recover(art)
+    assert sorted(os.listdir(art)) == ["hashes", "labels", "sigs"]
+
+
+def test_day1_crash_at_commit_point(two_days, tmp_path):
+    # the first commit has no old copies to put back: undoing it leaves
+    # empty artifact dirs, which the rerun reads as empty baselines
+    day1 = two_days[0]
+    art = str(tmp_path / "crashed")
+    with pytest.raises(OSError, match="injected crash"):
+        with _fs_calls(art, ("replace", "_committed.tmp")):
+            increment.run_increment(_docs(_DAY1), art, threshold=0.5)
+    storage.recover(art)
+    assert {d: os.listdir(os.path.join(art, d)) for d in os.listdir(art)} == {
+        "hashes": [], "labels": [], "sigs": []}
+    m = increment.run_increment(_docs(_DAY1), art, threshold=0.5)
+    assert m["novel_hashes"] == 2 and m["sigs_rows"] == 2 and m["labels_rows"] == 0
+    assert _artifacts(art) == _artifacts(day1)
