@@ -336,9 +336,10 @@ def _q_extract_spans_skew(sf_dir: str):
 
 
 def _q_extract_plain_text(sf_dir: str):
-    """Plain text via the skew-bucketed production plan (fused small bucket
-    + page-exploded large bucket); the oracle is the same single-doc golden
-    as the fused plan — two physical plans, one contract."""
+    """Plain text via the skew-bucketed production plan; the oracle is the
+    same single-doc golden as the fused plan. The gate's 500 docs have no
+    large bucket, so only the fused branch runs here (the page-exploded
+    branch is covered by tests/test_pipeline.py's heavy corpora)."""
     from pdftext_ray.pipelines import extract as P
 
     paths = _ensure_corpus(sf_dir)

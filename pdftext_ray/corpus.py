@@ -206,7 +206,7 @@ def generate_document(index: int, seed: int = 42, profile: str = "mixed") -> dic
     if case == "empty":
         return {"doc_id": doc_id, "spans": [], "_case": case}
     if profile == "mixed" and index % 97 == 7:
-        n_pages = 12  # pathological size outlier → skew/repartition path
+        n_pages = 12  # size outlier, still under SIZE_BUCKET_THRESHOLD: takes the fused branch
 
     rotation = {"rotated_90": 90, "rotated_180": 180, "rotated_270": 270,
                 "rotated_media": 90}.get(case, 0)

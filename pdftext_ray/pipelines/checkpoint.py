@@ -14,7 +14,6 @@ engine-side addition the 100 TB target requires.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import time
@@ -26,16 +25,6 @@ import ray.data
 from pdftext_ray import storage
 from pdftext_ray.kernel.document import ExtractConfig
 from pdftext_ray.pipelines import extract as P
-
-
-def _input_files(input_path: str) -> List[str]:
-    if os.path.isdir(input_path):
-        files = sorted(glob.glob(os.path.join(input_path, "**", "*.parquet"), recursive=True))
-    else:
-        files = [input_path]
-    if not files:
-        raise FileNotFoundError(f"no parquet files under {input_path}")
-    return files
 
 
 def _fingerprint(files: List[str], root: str) -> dict:
@@ -50,11 +39,12 @@ def _fingerprint(files: List[str], root: str) -> dict:
 
 
 def _chunks(files: List[str], num_partitions: int) -> List[List[str]]:
-    """Deterministic partition chunks: files of the ingest layout's
-    ``size_bucket=large`` bucket form a chunk of their own; the rest are
-    dealt round-robin over the other partitions."""
-    large = [f for f in files if f"size_bucket=large{os.sep}" in f]
-    small = [f for f in files if f"size_bucket=large{os.sep}" not in f]
+    """Deterministic partition chunks: the files that the size split
+    (:func:`pdftext_ray.pipelines.extract.split_by_size`) sends to the
+    page-exploded branch form a chunk of their own; the rest are dealt
+    round-robin over the other partitions."""
+    fused, large, unsized = P.split_by_size(files)
+    small = sorted(fused + unsized)
     n = min(max(1, num_partitions - (1 if large else 0)), max(len(small), 1))
     return [small[i::n] for i in range(n) if small] + ([large] if large else [])
 
@@ -86,7 +76,7 @@ def run_partitioned_stage(
     "rows", "part_files"} where part_files flat-lists the parquet files of
     every part (Ray's read_parquet takes files, not a list of directories;
     a part with no rows holds one typed empty file)."""
-    files = _input_files(input_path)
+    files = storage.input_files(input_path)
     chunks = _chunks(files, num_partitions)
     manifest_dir = os.path.join(stage_dir, "_manifest")
     os.makedirs(manifest_dir, exist_ok=True)
@@ -142,27 +132,18 @@ def run_checkpointed(
     num_partitions: int = 8,
 ) -> dict:
     """Run (or resume) a full extraction over ``input_path`` through
-    :func:`run_partitioned_stage`.
+    :func:`run_partitioned_stage`, each partition's files through
+    :func:`pdftext_ray.pipelines.extract.extract_corpus_skew_aware`.
 
-    Skew handling composes with checkpointing through the ingest layout: if
-    the input is hive-partitioned by ``size_bucket`` (pdftext_ray ingest),
-    files from the ``large`` bucket form their own partition and take the
-    page-exploded plan, other bucketed files the fused doc-parallel plan —
-    each read once; un-bucketed input is sized in flight (a second pass over
-    its chunk). Returns {"partitions": n, "processed": k, "skipped": m,
-    "rows": total}.
+    Skew handling composes with checkpointing through the size split: the
+    files it routes to the page-exploded branch (the ingest layout's large
+    bucket) form their own partition; each file is read once, and
+    un-bucketed files are sized in flight (a second pass over their chunk).
+    Returns {"partitions": n, "processed": k, "skipped": m, "rows": total}.
     """
-    cfg = cfg or ExtractConfig()
-
-    def extract(files: List[str]) -> ray.data.Dataset:
-        ds = ray.data.read_parquet(files, columns=["doc_id", "spans"])
-        if all(f"size_bucket=large{os.sep}" in f for f in files):
-            return P.extract_spans_exploded(ds, cfg, page_batch_size=32)
-        if any("size_bucket=" in f for f in files):
-            return P.extract_spans(ds, cfg)
-        return P.extract_spans_skew_aware(ds, cfg)
-
-    stats = run_partitioned_stage(input_path, output_dir, extract, num_partitions)
+    stats = run_partitioned_stage(
+        input_path, output_dir, lambda files: P.extract_corpus_skew_aware(files, cfg), num_partitions
+    )
     del stats["part_files"]
     return stats
 

@@ -29,10 +29,10 @@ CORPUS_FORMAT_VERSION = 8  # bump when payload format / generator / oracle seman
 
 
 def _rows_to_input_table(rows) -> pa.Table:
-    # n_bytes is an ingest-time size column: the skew plan's branch filters
-    # push it down to parquet row groups instead of re-scanning the payload
-    # column to size documents (SURVEY.md §4 skew; at 100 TB you bucket at
-    # ingest, not with a second full read).
+    # n_bytes is the ingest-time size column that picks each doc's
+    # size_bucket, so the skew plans route by directory instead of
+    # re-scanning the payload column (SURVEY.md §4 skew; at 100 TB you
+    # bucket at ingest, not with a second full read).
     return pa.Table.from_arrays(
         [
             pa.array([r["doc_id"] for r in rows], pa.string()),

@@ -2,26 +2,31 @@
 
 Plan shape (doc-parallel flagship):
 
-    read_table (column-pruned) → [size pre-pass] → map_batches(DocumentExtractor,
-    actor pool) → write / flatten — zero shuffles.
+    read_table (column-pruned) → map_batches(DocumentExtractor) → write /
+    flatten — zero shuffles.
 
-Skew handling (north rule): a cheap vectorized pre-pass computes
-``payload_bytes`` per doc; docs above ``explode_threshold`` take the
-page-exploded branch (pages decoded in parallel, one groupby(doc_id) shuffle
-to reassemble), the rest take the fused doc-parallel branch; branches union.
-At 10^12-doc scale this keeps one 5,000-page document from pinning a task
-while the bulk of the corpus streams shuffle-free.
+Skew handling (north rule), decided in this module only: docs past
+``SIZE_BUCKET_THRESHOLD`` payload bytes take the page-exploded branch
+(:func:`_exploded`: pages decoded in parallel, one groupby(doc_id) shuffle to
+reassemble), the rest the fused doc-parallel branch; branches union. Which
+docs are heavy comes from the ingest layout's hive ``size_bucket`` dirs
+(:func:`split_by_size`, zero extra scans) or, for un-bucketed input, from
+the ``payload_sizes`` pre-pass in flight (:func:`_sized_branches`). At
+10^12-doc scale this keeps one 5,000-page document from pinning a task while
+the bulk of the corpus streams shuffle-free.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from pathlib import PurePath
+from typing import List, Optional, Tuple, Union
 
 import ray.data
 
 from pdftext_ray.kernel.document import ExtractConfig
+from pdftext_ray.pipelines.corpus_io import SIZE_BUCKET_THRESHOLD
 from pdftext_ray.stages import extract as X
-from pdftext_ray.storage import read_table
+from pdftext_ray.storage import input_files, read_table
 
 
 def _read_parallelism() -> int:
@@ -60,7 +65,6 @@ def extract_spans(
     ds: ray.data.Dataset,
     cfg: Optional[ExtractConfig] = None,
     batch_size: int = 128,
-    concurrency: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Flagship doc-parallel span-sequence extraction (no shuffle).
 
@@ -73,143 +77,133 @@ def extract_spans(
     starves multi-branch plans (skew union + groupby) on small nodes, for
     <5% throughput difference on this workload.
 
-    Concurrency is UNCAPPED by default (round-2 measurement: an explicit
+    Concurrency is left to Ray (round-2 measurement: an explicit
     `concurrency=cpus-2` cap ran 13.0–15.2 s at the 100k-doc bench vs
     11.5–15.7 s uncapped — the cap never wins, and a fixed absolute reserve
     makes the worker pool grow super-proportionally between cluster sizes,
-    muddying scaling measurements). Pass `concurrency` to bound the stage
-    explicitly when co-scheduling against other pipelines.
+    muddying scaling measurements).
     """
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size)
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return ds.map_batches(X.DocumentExtractor(cfg), **kwargs)
+    return ds.map_batches(X.DocumentExtractor(cfg), batch_format="pyarrow", batch_size=batch_size)
+
+
+def _exploded(ds: ray.data.Dataset, assemble, cfg, page_batch_size: int = 32) -> ray.data.Dataset:
+    """The page-exploded branch: explode → per-page decode (PageExtractor)
+    → groupby(doc_id).map_groups(assemble), the one shuffle, keyed doc_id.
+    Heavy docs run at page batch 32, so one batch never holds two monsters."""
+    pages = ds.map_batches(X.explode_pages, batch_format="pyarrow").map_batches(
+        X.PageExtractor(cfg), batch_format="pyarrow", batch_size=page_batch_size
+    )
+    return pages.groupby("doc_id").map_groups(lambda g: assemble(g, cfg), batch_format="pyarrow")
 
 
 def extract_spans_exploded(
     ds: ray.data.Dataset,
     cfg: Optional[ExtractConfig] = None,
     page_batch_size: int = 128,
-    concurrency: Optional[int] = None,
 ) -> ray.data.Dataset:
-    """Page-exploded extraction for heavy documents: explode → per-page decode
-    → groupby(doc_id).map_groups reassembly (the one shuffle, keyed doc_id)."""
-    cfg = cfg or ExtractConfig()
-    kwargs = dict(batch_format="pyarrow", batch_size=page_batch_size)
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    pages = ds.map_batches(X.explode_pages, batch_format="pyarrow").map_batches(
-        X.PageExtractor(cfg), **kwargs
-    )
-    return pages.groupby("doc_id").map_groups(
-        lambda g: X.assemble_document(g, cfg), batch_format="pyarrow"
-    )
+    """Page-exploded extraction of every doc in ``ds`` (see :func:`_exploded`)."""
+    return _exploded(ds, X.assemble_document, cfg, page_batch_size)
+
+
+def _fused(ds: ray.data.Dataset, extractor, cfg) -> ray.data.Dataset:
+    """The fused doc-parallel branch: one ``extractor`` call per 128 docs."""
+    return ds.map_batches(extractor(cfg), batch_format="pyarrow", batch_size=128)
+
+
+def _union(branches: List[ray.data.Dataset]) -> ray.data.Dataset:
+    return branches[0].union(*branches[1:]) if len(branches) > 1 else branches[0]
+
+
+def _sized_branches(ds: ray.data.Dataset, extractor, assemble, cfg, threshold: int) -> List[ray.data.Dataset]:
+    """In-flight sizing of un-bucketed docs: the ``payload_sizes`` pre-pass,
+    then docs past ``threshold`` payload bytes take the exploded branch.
+    The shared lineage (read + pre-pass) executes once per branch."""
+    sized = ds.map_batches(X.payload_sizes, batch_format="pyarrow")
+    light = sized.filter(expr=f"payload_bytes <= {threshold}").drop_columns(["payload_bytes"])
+    heavy = sized.filter(expr=f"payload_bytes > {threshold}").drop_columns(["payload_bytes"])
+    return [_fused(light, extractor, cfg), _exploded(heavy, assemble, cfg)]
 
 
 def extract_spans_skew_aware(
     ds: ray.data.Dataset,
     cfg: Optional[ExtractConfig] = None,
-    explode_threshold: Optional[int] = None,
-    batch_size: int = 128,
+    explode_threshold: int = SIZE_BUCKET_THRESHOLD,
 ) -> ray.data.Dataset:
-    """Size-bucketed plan: small docs fused, huge docs page-exploded, union.
-
-    NOTE: sizes in flight — the shared lineage (read + size pre-pass) executes
-    once per branch. Prefer :func:`extract_corpus_skew_aware` over an
-    ingest-bucketed corpus, which reads each branch's files exactly once.
-    """
-    cfg = cfg or ExtractConfig()
-    if explode_threshold is None:
-        from pdftext_ray.pipelines.corpus_io import SIZE_BUCKET_THRESHOLD
-
-        explode_threshold = SIZE_BUCKET_THRESHOLD
-    sized = ds.map_batches(X.payload_sizes, batch_format="pyarrow")
-    small = sized.filter(expr=f"payload_bytes <= {explode_threshold}").drop_columns(["payload_bytes"])
-    large = sized.filter(expr=f"payload_bytes > {explode_threshold}").drop_columns(["payload_bytes"])
-    small_out = extract_spans(small, cfg, batch_size=batch_size)
-    # heavy bucket: small page batches so one batch never holds two monsters
-    large_out = extract_spans_exploded(large, cfg, page_batch_size=32)
-    return small_out.union(large_out)
+    """Size-split plan over a Dataset: small docs fused, docs past
+    ``explode_threshold`` page-exploded, union. Prefer
+    :func:`extract_corpus_skew_aware` over an ingest-bucketed corpus, which
+    reads each branch's files exactly once."""
+    return _union(_sized_branches(ds, X.DocumentExtractor, X.assemble_document, cfg, explode_threshold))
 
 
-def _heavy_bucket_blocks(large_dir: str, nblocks: int) -> int:
-    """Block count for the heavy-doc bucket, sized from parquet FOOTERS
+def split_by_size(files: List[str]) -> Tuple[List[str], List[str], List[str]]:
+    """The skew route of each parquet file: (fused, exploded, unsized).
+
+    The ingest layout (``corpus_io.materialize_corpus``) buckets docs by
+    payload size into hive ``size_bucket=small|large`` dirs. Files of the
+    ``large`` bucket take the page-exploded branch, files of any other
+    bucket the fused branch; un-bucketed files are sized in flight
+    (:func:`_sized_branches`). Callers route through this split, never by
+    testing bucket paths themselves."""
+    fused, exploded, unsized = [], [], []
+    for f in files:
+        dirs = PurePath(f).parts[:-1]
+        if "size_bucket=large" in dirs:
+            exploded.append(f)
+        elif any(d.startswith("size_bucket=") for d in dirs):
+            fused.append(f)
+        else:
+            unsized.append(f)
+    return fused, exploded, unsized
+
+
+def _heavy_bucket_blocks(files: List[str], nblocks: int) -> int:
+    """Block count for the heavy-doc files, sized from parquet FOOTERS
     (row counts are free). Ray's default splitting gave the 8-row heavy
     bucket 64 blocks at bench scale, and the reassembly groupby inherits
     that as 64 sort partitions — ~13 s of pure shuffle fixed overhead for
     96 page rows (ds.stats audit, round 3). ~8 heavy docs (≈100 exploded
     pages) per block keeps the shuffle proportional to the data while
     4×read-parallelism caps it for genuinely large heavy buckets."""
-    import glob as _glob
     import math
-    import os as _os
 
     import pyarrow.parquet as _pq
 
     try:
-        rows = sum(
-            _pq.read_metadata(f).num_rows
-            for f in _glob.glob(_os.path.join(large_dir, "**", "*.parquet"), recursive=True)
-        )
+        rows = sum(_pq.read_metadata(f).num_rows for f in files)
     except OSError:  # unreadable footer only — anything else should surface
         return nblocks
     return max(2, min(math.ceil(rows / 8), 4 * nblocks))
 
 
-def extract_corpus_skew_aware(
-    path: str,
-    cfg: Optional[ExtractConfig] = None,
-    explode_threshold: Optional[int] = None,
-    batch_size: int = 128,
-) -> ray.data.Dataset:
-    """Skew-bucketed plan over an ingested corpus: heavy documents take the
-    page-exploded branch, the bulk takes the fused doc-parallel branch.
-
-    If the corpus was written with hive ``size_bucket=small|large``
-    partitions (pdftext_ray ingest does this), each branch reads ONLY its
-    bucket's directory - routing costs zero extra scans. Otherwise both
-    branches read with a parquet predicate pushdown on the ``n_bytes``
-    ingest column. This is the 100 TB-correct layout - bucket at ingest,
-    prune at the read (SURVEY.md §4 skew).
-    """
-    import os
-
-    import pyarrow.compute as pc
-
-    cfg = cfg or ExtractConfig()
-    if explode_threshold is None:
-        from pdftext_ray.pipelines.corpus_io import SIZE_BUCKET_THRESHOLD
-
-        explode_threshold = SIZE_BUCKET_THRESHOLD
-    small_dir = os.path.join(path, "size_bucket=small")
-    large_dir = os.path.join(path, "size_bucket=large")
+def _skew_plan(path: Union[str, List[str]], extractor, assemble, cfg) -> ray.data.Dataset:
+    """One plan over a corpus dir or file list: each file goes where
+    :func:`split_by_size` routes it, each branch reads only its own files,
+    and the branches union (no union when only one runs)."""
+    files = input_files(path) if isinstance(path, str) else path
+    fused, exploded, unsized = split_by_size(files)
     nblocks = _read_parallelism()
-    if os.path.isdir(small_dir):
-        small = ray.data.read_parquet(
-            small_dir, columns=["doc_id", "spans"], override_num_blocks=nblocks
-        )
-        large = (
-            ray.data.read_parquet(
-                large_dir, columns=["doc_id", "spans"],
-                override_num_blocks=_heavy_bucket_blocks(large_dir, nblocks),
-            )
-            if os.path.isdir(large_dir)
-            else None
-        )
-    else:
-        small = ray.data.read_parquet(
-            path, columns=["doc_id", "spans"], override_num_blocks=nblocks,
-            filter=(pc.field("n_bytes") <= explode_threshold),
-        )
-        large = ray.data.read_parquet(
-            path, columns=["doc_id", "spans"], filter=(pc.field("n_bytes") > explode_threshold)
-        )
-    small_out = extract_spans(small, cfg, batch_size=batch_size)
-    if large is None:
-        return small_out
-    # heavy bucket: small page batches so one batch never holds two monsters
-    large_out = extract_spans_exploded(large, cfg, page_batch_size=32)
-    return small_out.union(large_out)
+
+    def read(fs, n):
+        return ray.data.read_parquet(fs, columns=["doc_id", "spans"], override_num_blocks=n)
+
+    branches = []
+    if fused:
+        branches.append(_fused(read(fused, nblocks), extractor, cfg))
+    if unsized:
+        branches += _sized_branches(read(unsized, nblocks), extractor, assemble, cfg, SIZE_BUCKET_THRESHOLD)
+    if exploded:
+        branches.append(_exploded(read(exploded, _heavy_bucket_blocks(exploded, nblocks)), assemble, cfg))
+    return _union(branches)
+
+
+def extract_corpus_skew_aware(
+    path: Union[str, List[str]], cfg: Optional[ExtractConfig] = None
+) -> ray.data.Dataset:
+    """Span sequences of an ingested corpus (a dir or a list of its parquet
+    files): heavy docs page-exploded, the bulk fused doc-parallel. Bucket at
+    ingest, prune at the read — the 100 TB-correct layout (SURVEY.md §4 skew)."""
+    return _skew_plan(path, X.DocumentExtractor, X.assemble_document, cfg)
 
 
 def flat_spans(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -224,57 +218,14 @@ def extract_plain_text(
 
 
 def extract_plain_text_corpus_skew_aware(
-    path: str,
-    cfg: Optional[ExtractConfig] = None,
-    batch_size: int = 128,
+    path: Union[str, List[str]], cfg: Optional[ExtractConfig] = None
 ) -> ray.data.Dataset:
-    """Skew-bucketed PLAIN-TEXT plan over an ingested corpus — same routing
-    as extract_corpus_skew_aware (hive size buckets, predicate-pushdown
-    fallback), same reason: the fused doc-parallel map measures ~1.7 ms/doc
+    """Plain text of an ingested corpus, routed as
+    :func:`extract_corpus_skew_aware`: the fused map measures ~1.7 ms/doc
     single-core, but monster documents straggle whole batches (measured 25 s
-    vs 16 s for the equivalent spans plans at 100k docs/32 cpus). Small
-    bucket: fused PlainTextExtractor; large bucket: page-exploded decode →
-    one keyed shuffle → doc-wide link resolution + merge."""
-    import os
-
-    import pyarrow.compute as pc
-
-    cfg = cfg or ExtractConfig()
-    from pdftext_ray.pipelines.corpus_io import SIZE_BUCKET_THRESHOLD
-
-    small_dir = os.path.join(path, "size_bucket=small")
-    large_dir = os.path.join(path, "size_bucket=large")
-    nblocks = _read_parallelism()
-    if os.path.isdir(small_dir):
-        small = ray.data.read_parquet(
-            small_dir, columns=["doc_id", "spans"], override_num_blocks=nblocks
-        )
-        large = (
-            ray.data.read_parquet(
-                large_dir, columns=["doc_id", "spans"],
-                override_num_blocks=_heavy_bucket_blocks(large_dir, nblocks),
-            )
-            if os.path.isdir(large_dir)
-            else None
-        )
-    else:
-        small = ray.data.read_parquet(
-            path, columns=["doc_id", "spans"], override_num_blocks=nblocks,
-            filter=(pc.field("n_bytes") <= SIZE_BUCKET_THRESHOLD),
-        )
-        large = ray.data.read_parquet(
-            path, columns=["doc_id", "spans"], filter=(pc.field("n_bytes") > SIZE_BUCKET_THRESHOLD)
-        )
-    small_out = extract_plain_text(small, cfg, batch_size=batch_size)
-    if large is None:
-        return small_out
-    pages = large.map_batches(X.explode_pages, batch_format="pyarrow").map_batches(
-        X.PageExtractor(cfg), batch_format="pyarrow", batch_size=32
-    )
-    large_out = pages.groupby("doc_id").map_groups(
-        lambda g: X.assemble_plain_text(g, cfg), batch_format="pyarrow"
-    )
-    return small_out.union(large_out)
+    vs 16 s for the equivalent spans plans at 100k docs/32 cpus). The
+    exploded branch resolves links doc-wide after the shuffle, then merges."""
+    return _skew_plan(path, X.PlainTextExtractor, X.assemble_plain_text, cfg)
 
 
 def extract_paginated_plain_text(

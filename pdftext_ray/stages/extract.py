@@ -361,72 +361,57 @@ class PageExtractor:
         )
 
 
-def assemble_document(group: pa.Table, cfg: ExtractConfig = None) -> pa.Table:
-    """map_groups(doc_id): order pages, resolve links doc-wide, emit the span
-    sequence — the groupby(doc_id) reassembly of the north rule."""
+def _reassemble(group: pa.Table, cfg: ExtractConfig):
+    """One doc's page rows → (doc_id, pages, error): pages ordered by
+    ``page_pos`` and unpickled, then links resolved doc-wide (link
+    splitting changes span text, so it cannot run per page). ``error`` is
+    the first page's error marker, or None; pages are left unresolved then."""
     from pdftext_ray.kernel import links as klinks
 
-    cfg = cfg or ExtractConfig()
-    pos = group.column("page_pos").to_numpy(zero_copy_only=False)
-    order = np.argsort(pos, kind="stable")
+    order = np.argsort(group.column("page_pos").to_numpy(zero_copy_only=False), kind="stable")
     states = group.column("page_state").to_pylist()
     pages = [pickle.loads(states[i]) for i in order]
-    doc_errors = [p["__error__"] for p in pages if "__error__" in p]
-    if doc_errors:
-        doc_id = group.column("doc_id")[0].as_py()
-        return pa.Table.from_arrays(
-            [
-                pa.array([doc_id], pa.string()),
-                pa.array([[]], pa.list_(schemas.OUTPUT_SPAN)),
-                pa.array([0], pa.int32()),
-                pa.array([0], pa.int64()),
-                pa.array([doc_errors[0]], pa.string()),
-            ],
-            schema=schemas.SPAN_SEQ_SCHEMA,
-        )
+    doc_id = group.column("doc_id")[0].as_py()
+    errors = [p["__error__"] for p in pages if "__error__" in p]
+    if errors:
+        return doc_id, pages, errors[0]
     if not cfg.disable_links:
         klinks.add_links_and_refs(pages, [pg["links"] for pg in pages])
     else:
         for pg in pages:
             pg["refs"] = []
-    seq = span_sequence(pages)
-    doc_id = group.column("doc_id")[0].as_py()
-    n_chars = sum(len(s["chars"]) for pg in pages for b in pg["blocks"] for l in b["lines"] for s in l["spans"])
+    return doc_id, pages, None
+
+
+def assemble_document(group: pa.Table, cfg: ExtractConfig = None) -> pa.Table:
+    """map_groups(doc_id): the span sequence of one reassembled doc — the
+    groupby(doc_id) reassembly of the north rule. A page error becomes the
+    doc's one error row, as in DocumentExtractor."""
+    doc_id, pages, error = _reassemble(group, cfg or ExtractConfig())
+    if error is not None:
+        seq, n_pages, n_chars = [], 0, 0
+    else:
+        seq, n_pages = span_sequence(pages), len(pages)
+        n_chars = sum(len(s["chars"]) for pg in pages for b in pg["blocks"] for l in b["lines"] for s in l["spans"])
     return pa.Table.from_arrays(
         [
             pa.array([doc_id], pa.string()),
             pa.array([seq], pa.list_(schemas.OUTPUT_SPAN)),
-            pa.array([len(pages)], pa.int32()),
+            pa.array([n_pages], pa.int32()),
             pa.array([n_chars], pa.int64()),
-            pa.array([""], pa.string()),
+            pa.array([error or ""], pa.string()),
         ],
         schema=schemas.SPAN_SEQ_SCHEMA,
     )
 
 
 def assemble_plain_text(group: pa.Table, cfg: ExtractConfig = None) -> pa.Table:
-    """map_groups(doc_id) reassembly for the PLAIN-TEXT skew branch: order
-    pages, resolve links doc-wide (link splitting changes span text, so it
-    cannot run per page), emit one merged string — the plain-text analogue
-    of assemble_document."""
-    from pdftext_ray.kernel import links as klinks
-    from pdftext_ray.kernel.document import plain_text
-
+    """map_groups(doc_id): the merged plain text of one reassembled doc. A
+    page error raises, as the fused PlainTextExtractor does."""
     cfg = cfg or ExtractConfig()
-    pos = group.column("page_pos").to_numpy(zero_copy_only=False)
-    order = np.argsort(pos, kind="stable")
-    states = group.column("page_state").to_pylist()
-    pages = [pickle.loads(states[i]) for i in order]
-    doc_errors = [p["__error__"] for p in pages if "__error__" in p]
-    if doc_errors:
-        # mirror the fused branch, which lets a decode error propagate
-        raise RuntimeError(doc_errors[0])
-    if not cfg.disable_links:
-        klinks.add_links_and_refs(pages, [pg["links"] for pg in pages])
-    else:
-        for pg in pages:
-            pg["refs"] = []
-    doc_id = group.column("doc_id")[0].as_py()
+    doc_id, pages, error = _reassemble(group, cfg)
+    if error is not None:
+        raise RuntimeError(error)
     return pa.Table.from_arrays(
         [
             pa.array([doc_id], pa.string()),

@@ -10,6 +10,7 @@ together.
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 from typing import Optional
@@ -237,6 +238,18 @@ def _drop_old(root: str) -> None:
         if entry.endswith(".old"):
             shutil.rmtree(os.path.join(root, entry))
     os.remove(os.path.join(root, _COMMITTED))
+
+
+def input_files(path: str) -> list:
+    """Sorted parquet files anywhere under ``path`` (``[path]`` for a file);
+    raises when there are none."""
+    if os.path.isdir(path):
+        files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
+    else:
+        files = [path]
+    if not files:
+        raise FileNotFoundError(f"no parquet files under {path}")
+    return files
 
 
 def parquet_files(path: str) -> list:

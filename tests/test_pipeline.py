@@ -2,13 +2,19 @@
 for every adversarial case, on both physical plans (doc-parallel and
 page-exploded), and independent of parallelism/block order."""
 
+import glob
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray
 
-from pdftext_ray.corpus import NUM_CASES, doc_case
-from pdftext_ray.pipelines import corpus_io, extract as P
+from pdftext_ray.corpus import NUM_CASES, doc_case, generate_document
+from pdftext_ray.kernel.document import extract_document
+from pdftext_ray.pipelines import checkpoint, corpus_io, extract as P
+from pdftext_ray.stages import extract as X
 
 N_DOCS = 2 * NUM_CASES  # every adversarial case at least twice
 
@@ -121,11 +127,133 @@ def test_equality_holds_at_unseen_seed():
     _assert_equal(got, corpus_io.expected_flat_table(60, seed=7))
 
 
-def test_plain_text_skew_plan_matches_fused(tmp_path):
+def test_plain_text_skew_plan_matches_fused(heavy_corpora):
     """The page-exploded plain-text branch must be bit-identical to the
-    fused doc-parallel plan (link resolution runs doc-wide in both)."""
-    corpus = str(tmp_path / "corpus")
-    corpus_io.materialize_corpus(corpus, 90, 42)
-    fused = {r["doc_id"]: r["text"] for r in P.extract_plain_text(P.read_documents(corpus)).take_all()}
-    skew = {r["doc_id"]: r["text"] for r in P.extract_plain_text_corpus_skew_aware(corpus).take_all()}
-    assert fused == skew and len(fused) == 90
+    fused doc-parallel plan (link resolution runs doc-wide in both), on
+    every layout: the heavy docs take the exploded branch in each."""
+    for path, rows in heavy_corpora.values():
+        fused = {r["doc_id"]: r["text"] for r in P.extract_plain_text(P.read_documents(path)).take_all()}
+        skew = {r["doc_id"]: r["text"] for r in P.extract_plain_text_corpus_skew_aware(path).take_all()}
+        assert fused == skew and set(fused) == {r["doc_id"] for r in rows}
+
+
+# ---------------------------------------------------------------------------
+# Corpora with heavy documents (past SIZE_BUCKET_THRESHOLD)
+# ---------------------------------------------------------------------------
+
+def _heavy_doc(doc_id: str, start: int, extra_pages=()) -> dict:
+    """Pages of consecutive generated docs from ``start`` on, concatenated
+    until the doc is past the size threshold (no generated doc is), then
+    ``extra_pages`` appended."""
+    spans, n_bytes, i = [], 0, start
+    while n_bytes <= corpus_io.SIZE_BUCKET_THRESHOLD:
+        for s in generate_document(i, 42, "mixed")["spans"]:
+            spans.append(dict(s, offset=len(spans)))
+            if s["kind"] == "text":
+                n_bytes += len(s["text"].encode("utf-8"))
+        i += 1
+    for payload in extra_pages:
+        spans.append({"kind": "text", "text": payload, "media_ref": "", "offset": len(spans)})
+    return {"doc_id": doc_id, "spans": spans}
+
+
+def _write_corpus(path: str, rows, bucketed: bool) -> None:
+    """The ingest table, as hive ``size_bucket=small|large`` dirs or as flat
+    files, 8 rows per file (several files, so checkpoint chunks vary)."""
+    table = corpus_io._rows_to_input_table(rows)
+    heavy = pc.greater(table.column("n_bytes"), corpus_io.SIZE_BUCKET_THRESHOLD)
+    parts = (
+        {"size_bucket=small": table.filter(pc.invert(heavy)), "size_bucket=large": table.filter(heavy)}
+        if bucketed else {"": table}
+    )
+    for sub, part in parts.items():
+        if not len(part):
+            continue
+        out = os.path.join(path, sub)
+        os.makedirs(out, exist_ok=True)
+        for k in range(0, len(part), 8):
+            pq.write_table(part.slice(k, 8), os.path.join(out, f"part-{k // 8}.parquet"))
+
+
+HEAVY_LAYOUTS = ("bucketed", "all_heavy", "unbucketed")
+
+
+@pytest.fixture(scope="module")
+def heavy_corpora(tmp_path_factory):
+    """{layout: (path, rows)}: 20 generated docs plus 2 heavy ones,
+    hive-bucketed; the heavy ones alone (only ``size_bucket=large/``); and
+    all 22 un-bucketed."""
+    small = [generate_document(i, 42, "mixed") for i in range(20)]
+    heavy = [_heavy_doc(f"heavy-{j}", 200 + 40 * j) for j in range(2)]
+    root = tmp_path_factory.mktemp("heavy_corpora")
+    corpora = {}
+    for layout, rows, bucketed in (
+        ("bucketed", small + heavy, True),
+        ("all_heavy", heavy, True),
+        ("unbucketed", small + heavy, False),
+    ):
+        path = str(root / layout)
+        _write_corpus(path, rows, bucketed)
+        corpora[layout] = (path, rows)
+    assert sorted(os.listdir(corpora["bucketed"][0])) == ["size_bucket=large", "size_bucket=small"]
+    assert os.listdir(corpora["all_heavy"][0]) == ["size_bucket=large"]
+    return corpora
+
+
+def _assert_spans_match_reference(got_rows, rows):
+    """Span-sequence rows == the Ray-free ``extract_document`` per doc."""
+    got = {r["doc_id"]: r for r in got_rows}
+    assert sorted(got) == sorted(r["doc_id"] for r in rows)
+    for r in rows:
+        ref, out = extract_document(X._doc_payloads(r["spans"])), got[r["doc_id"]]
+        assert out["error"] == ""
+        assert list(out["spans"]) == ref["spans"], r["doc_id"]
+        assert (out["n_pages"], out["n_chars"]) == (ref["n_pages"], ref["n_chars"])
+
+
+@pytest.mark.parametrize("layout", HEAVY_LAYOUTS)
+def test_corpus_skew_plan_matches_reference(heavy_corpora, layout):
+    path, rows = heavy_corpora[layout]
+    _assert_spans_match_reference(P.extract_corpus_skew_aware(path).take_all(), rows)
+
+
+@pytest.mark.parametrize("layout", HEAVY_LAYOUTS)
+def test_plain_text_corpus_plan_matches_fused_reference(heavy_corpora, layout):
+    path, rows = heavy_corpora[layout]
+    table = corpus_io._rows_to_input_table(rows)
+    ref = X.PlainTextExtractor()(table.select(["doc_id", "spans"]))
+    expected = dict(zip(ref.column("doc_id").to_pylist(), ref.column("text").to_pylist()))
+    got = {r["doc_id"]: r["text"] for r in P.extract_plain_text_corpus_skew_aware(path).take_all()}
+    assert got == expected
+
+
+@pytest.mark.parametrize("layout", HEAVY_LAYOUTS)
+def test_checkpointed_matches_reference(heavy_corpora, layout, tmp_path):
+    path, rows = heavy_corpora[layout]
+    out = str(tmp_path / "out")
+    stats = checkpoint.run_checkpointed(path, out, num_partitions=3)
+    assert stats["rows"] == len(rows) and stats["skipped"] == 0
+    files = sorted(glob.glob(os.path.join(out, "part-*", "**", "*.parquet"), recursive=True))
+    got = pa.concat_tables([pq.read_table(f) for f in files]).to_pylist()
+    _assert_spans_match_reference(got, rows)
+
+
+def test_corrupt_page_in_heavy_doc(tmp_path):
+    """One corrupt page in a heavy doc: the spans plan isolates it as that
+    doc's one error row; the plain-text plan raises, as the fused
+    PlainTextExtractor does."""
+    bad = _heavy_doc("heavy-bad", 300, extra_pages=["P|0|zz|nope"])
+    rows = [generate_document(i, 42, "mixed") for i in range(6)] + [bad]
+    path = str(tmp_path / "corpus")
+    _write_corpus(path, rows, bucketed=True)
+
+    out = {r["doc_id"]: r for r in P.extract_corpus_skew_aware(path).take_all()}
+    assert len(out) == len(rows)
+    assert out["heavy-bad"]["error"] != "" and len(out["heavy-bad"]["spans"]) == 0
+    assert all(r["error"] == "" for d, r in out.items() if d != "heavy-bad")
+
+    bad_table = corpus_io._rows_to_input_table([bad]).select(["doc_id", "spans"])
+    with pytest.raises(ValueError, match="could not convert"):
+        X.PlainTextExtractor()(bad_table)
+    with pytest.raises(Exception, match="could not convert"):
+        P.extract_plain_text_corpus_skew_aware(path).take_all()

@@ -567,6 +567,8 @@ def test_heavy_bucket_blocks_sized_from_footers(tmp_path):
     """_heavy_bucket_blocks must size from footer row counts — the round-3
     os-unbound bug silently returned the 64-block default and let a 96-row
     reassembly sort pay 64 shuffle partitions."""
+    import glob
+
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -574,17 +576,21 @@ def test_heavy_bucket_blocks_sized_from_footers(tmp_path):
 
     d = tmp_path / "size_bucket=large"
     d.mkdir()
+
+    def files():
+        return sorted(glob.glob(str(d / "*.parquet")))
+
     for i in range(8):
         pq.write_table(pa.table({"doc_id": [f"d{i}"], "spans": [[]]}), str(d / f"p{i}.parquet"))
-    assert _heavy_bucket_blocks(str(d), 64) == 2          # 8 rows → floor of 2
+    assert _heavy_bucket_blocks(files(), 64) == 2          # 8 rows → floor of 2
     for i in range(8, 40):
         pq.write_table(
             pa.table({"doc_id": [f"d{i}{j}" for j in range(100)], "spans": [[]] * 100}),
             str(d / f"p{i}.parquet"),
         )
-    assert _heavy_bucket_blocks(str(d), 64) == 256  # ceil(3208/8)=401, capped at 4×64
-    assert _heavy_bucket_blocks(str(d), 128) == (8 + 3200 + 7) // 8  # uncapped: rows/8
-    assert _heavy_bucket_blocks(str(tmp_path / "missing"), 64) == 2  # 0 rows → floor
+    assert _heavy_bucket_blocks(files(), 64) == 256  # ceil(3208/8)=401, capped at 4×64
+    assert _heavy_bucket_blocks(files(), 128) == (8 + 3200 + 7) // 8  # uncapped: rows/8
+    assert _heavy_bucket_blocks([], 64) == 2  # 0 rows → floor
 
 
 def test_retention_cohorts_semantics():
