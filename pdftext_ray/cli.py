@@ -120,7 +120,6 @@ def cmd_extract(args) -> int:
     _ray_session(args.workers)
     from pdftext_ray.kernel.document import ExtractConfig
     from pdftext_ray.pipelines import checkpoint, extract as P
-    from pdftext_ray.storage import write_table
 
     cfg = ExtractConfig(
         sort=args.sort,
@@ -151,6 +150,11 @@ def cmd_extract(args) -> int:
         res = checkpoint.run_checkpointed(args.input, args.output, cfg, num_partitions=args.partitions)
         print(res)
         return 0
+
+    if args.mode == "spans" and pages is None and not args.limit and _is_parquet_dir(args.input):
+        # an ingested corpus routes by its files (CLAUDE.md invariant 18):
+        # each branch reads only its own, and no doc is sized in flight
+        return _emit(args, P.extract_corpus_skew_aware(args.input, cfg))
 
     ds = P.read_documents(args.input)
     if args.limit:
@@ -187,6 +191,23 @@ def cmd_extract(args) -> int:
     else:
         print(f"unknown mode {args.mode}", file=sys.stderr)
         return 2
+    return _emit(args, out)
+
+
+def _is_parquet_dir(path: str) -> bool:
+    """A dir holding parquet files (the ingest layout), not a lance/orc/json table."""
+    import glob
+    import os
+
+    return os.path.isdir(path) and next(
+        glob.iglob(os.path.join(path, "**", "*.parquet"), recursive=True), None
+    ) is not None
+
+
+def _emit(args, out) -> int:
+    """Print the extraction rows (--stdout) or write them to --output."""
+    from pdftext_ray.storage import write_table
+
     if args.stdout:
         # reference CLI prints to stdout by default (scripts/extract_text.py:66-70)
         for row in out.iter_rows():

@@ -1,7 +1,8 @@
-"""The extra_queries() surface: single-op / variant queries displaced from
-the driver's 50-entry correctness window by the round-3 merge (see
-__ray_entry__.queries docstring). Every extra still runs against the SAME
-DuckDB oracle contract here — pytest is their gate now."""
+"""Every registered __ray_entry__ query — the driver's 50 queries() rows and
+the extra_queries() displaced from that window by the round-3 merge (see
+__ray_entry__.DRIVER_QUERIES) — runs against its DuckDB oracle here, with
+the comparator of scripts/check_correctness.py. pytest is the extras' only
+gate, and the driver rows' local one."""
 
 from __future__ import annotations
 
@@ -9,14 +10,13 @@ import os
 import sys
 
 import duckdb
-import numpy as np
-import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [REPO, os.path.join(REPO, "scripts")]
+import check_correctness as cc  # noqa: E402
 
 SF_DIR = "/root/testdata/sf0.01"
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
 def _entry():
@@ -25,55 +25,10 @@ def _entry():
     return entry
 
 
-def _to_pandas(result) -> pd.DataFrame:
-    import pyarrow as pa
-    import ray.data
-
-    if isinstance(result, ray.data.Dataset):
-        return result.to_pandas()
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
-def _compare(got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
-    issues: list[str] = []
-    if sorted(got.columns) != sorted(want.columns):
-        return [f"columns {sorted(got.columns)} != {sorted(want.columns)}"]
-    if len(got) != len(want):
-        return [f"rows {len(got)} != {len(want)}"]
-    g, w = _canon(got), _canon(want)
-    for c in g.columns:
-        gv, wv = g[c], w[c]
-        gk = "i" if gv.dtype.kind in "iu" else gv.dtype.kind
-        wk = "i" if wv.dtype.kind in "iu" else wv.dtype.kind
-        if gk != wk:
-            issues.append(f"col {c} dtype kind mismatch: {gv.dtype} != {wv.dtype}")
-            continue
-        if np.issubdtype(gv.dtype, np.floating) or np.issubdtype(wv.dtype, np.floating):
-            ok = (gv.astype(float).values == wv.astype(float).values) | (
-                pd.isna(gv).values & pd.isna(wv).values
-            )
-        else:
-            ok = gv.values == wv.values
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            issues.append(f"col {c} mismatch at {bad}: {gv.iloc[bad]!r} != {wv.iloc[bad]!r}")
-    return issues
-
-
 @pytest.fixture(scope="module")
 def duck():
     con = duckdb.connect()
-    for t in TABLES:
+    for t in cc.TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')"
         )
@@ -81,20 +36,21 @@ def duck():
     con.close()
 
 
-def _extra_names():
-    return sorted(_entry().extra_queries().keys())
+def _all_queries():
+    entry = _entry()
+    return {**entry.queries(), **entry.extra_queries()}
 
 
-@pytest.mark.parametrize("name", _extra_names())
+@pytest.mark.parametrize("name", sorted(_all_queries()))
 def test_extra_query_vs_oracle(name, ray_session, duck):
     entry = _entry()
-    got = _to_pandas(entry.extra_queries()[name](SF_DIR))
-    oracle = entry.extra_oracle_sql().get(name)
+    got = cc.to_pandas(_all_queries()[name](SF_DIR))
+    oracle = {**entry.oracle_sql(), **entry.extra_oracle_sql()}.get(name)
     if oracle is None:
         # rows-only extras (similarity_ivf: recall pinned by the gate's
         # similarity_ivf_recall; the default config has no SQL equivalent)
         assert len(got) > 0
         return
     want = duck.execute(oracle).df()
-    issues = _compare(got, want)
+    issues = cc.compare(name, got, want)
     assert not issues, f"{name}: " + "; ".join(issues)

@@ -238,6 +238,36 @@ def test_checkpointed_matches_reference(heavy_corpora, layout, tmp_path):
     _assert_spans_match_reference(got, rows)
 
 
+def test_cli_spans_routes_ingested_corpus_by_files(heavy_corpora, tmp_path, monkeypatch):
+    """`extract --mode spans` over an ingested corpus goes through the file
+    router (no in-flight sizing), and gives the reference rows; --limit
+    keeps the Dataset route."""
+    import argparse
+
+    from pdftext_ray import cli
+
+    path, rows = heavy_corpora["bucketed"]
+    routed = []
+    real = P.extract_corpus_skew_aware
+    monkeypatch.setattr(P, "extract_corpus_skew_aware", lambda *a: routed.append(a) or real(*a))
+
+    def run(out, limit=None):
+        args = argparse.Namespace(
+            input=path, output=str(tmp_path / out), mode="spans", pages=None,
+            sort=True, keep_hyphens=False, disable_links=False, keep_chars=False,
+            flatten_pdf=False, workers=None, limit=limit, stdout=False,
+            checkpoint=False, partitions=8,
+        )
+        assert cli.cmd_extract(args) == 0
+        files = glob.glob(os.path.join(str(tmp_path / out), "**", "*.parquet"), recursive=True)
+        return pa.concat_tables([pq.read_table(f) for f in files]).to_pylist()
+
+    _assert_spans_match_reference(run("routed"), rows)
+    assert [a[0] for a in routed] == [path]
+    _assert_spans_match_reference(run("limited", limit=len(rows)), rows)
+    assert len(routed) == 1
+
+
 def test_corrupt_page_in_heavy_doc(tmp_path):
     """One corrupt page in a heavy doc: the spans plan isolates it as that
     doc's one error row; the plain-text plan raises, as the fused
