@@ -157,6 +157,27 @@ def _undirect(e: pd.DataFrame) -> pd.DataFrame:
     }).drop_duplicates()
 
 
+def _local_converge(edges: pd.DataFrame, max_rounds: int) -> pd.DataFrame:
+    """Alternate large-star / small-star over a whole (small) undirected
+    (node, peer) edge frame in-process until the edge set stops changing —
+    no per-round shuffles. Raises after ``max_rounds`` (invariant 15)."""
+    g = edges[["node", "peer"]].drop_duplicates()
+    if g.empty:
+        return g
+    prev = None
+    for _ in range(max_rounds):
+        g = _undirect(_large_star_frame(g))
+        e2 = _small_star_frame(g)
+        g = _undirect(e2)
+        cur = e2.sort_values(["a", "b"]).reset_index(drop=True)
+        if prev is not None and cur.equals(prev):
+            return g
+        prev = cur
+    raise RuntimeError(
+        f"connected_components: no convergence in {max_rounds} local rounds"
+    )
+
+
 def connected_components_distributed(
     pairs: ray.data.Dataset,
     a_col: str = "doc_a",
@@ -207,25 +228,6 @@ def connected_components_distributed(
     def small_part(g: pd.DataFrame) -> pd.DataFrame:
         return from_pandas_clean(_undirect(_small_star_frame(g[["node", "peer"]].drop_duplicates())))
 
-    def local_converge(df: pd.DataFrame) -> pd.DataFrame:
-        """Whole (small) graph on one partition: alternate to convergence
-        in-process — no per-round shuffles."""
-        g = df[["node", "peer"]].drop_duplicates()
-        if g.empty:
-            return from_pandas_clean(g)
-        prev = None
-        for _ in range(max_rounds):
-            g = _undirect(_large_star_frame(g))
-            e2 = _small_star_frame(g)
-            g = _undirect(e2)
-            cur = e2.sort_values(["a", "b"]).reset_index(drop=True)
-            if prev is not None and cur.equals(prev):
-                return from_pandas_clean(g)
-            prev = cur
-        raise RuntimeError(
-            f"connected_components: no convergence in {max_rounds} local rounds"
-        )
-
     edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
     prev_fp = None
     prev_edges = None
@@ -238,7 +240,8 @@ def connected_components_distributed(
         if n_edges <= local_threshold:
             edges = (
                 edges.repartition(1)
-                .map_batches(local_converge, batch_format="pandas", batch_size=None)
+                .map_batches(lambda df: from_pandas_clean(_local_converge(df, max_rounds)),
+                             batch_format="pandas", batch_size=None)
                 .materialize()
             )
             converged = True
@@ -325,19 +328,25 @@ def incremental_connected_components(
 
     Plan — the baseline GRAPH is never touched, only its label table, and
     that table is scanned, never exchanged: the increment's endpoint set is
-    broadcast, ONE scan filters the label table down to the matching rows,
-    and contraction + rep classification are shuffle-free vectorized maps
-    against that lookup. State on the driver: at most two (node, label)
-    rows per increment pair.
+    broadcast and ONE scan filters the label table down to the matching
+    rows. Contraction, convergence and rep classification then run in one
+    task (:func:`probe.in_one_task`) over the increment's pairs and the
+    scan's output. Its memory bound: at most two (node, label) rows per
+    increment pair, and the contracted graph's edges (at most two per
+    pair). ``local_threshold`` is kept for callers and no longer read:
+    the contracted graph is increment-sized, so it always converges in that
+    task.
 
     Each endpoint is contracted to its baseline cluster id if labeled, else
     itself; self-edges (pairs inside one existing cluster) drop at
-    contraction — they cannot change any label. The alternating-star CC then
-    runs on the CONTRACTED graph only (reps + new nodes + baseline
-    singletons — increment-sized, not corpus-sized), inheriting the
-    non-convergence raise (invariant 15). Final labels classify as ``remap``
-    rows (old cluster id -> new id, emitted only when changed) for
-    contracted ids that are baseline reps, ``assign`` rows otherwise.
+    contraction — they cannot change any label. The alternating-star loop
+    (``_local_converge``, shared with
+    :func:`connected_components_distributed`) then runs on the CONTRACTED
+    graph only (reps + new nodes + baseline singletons — increment-sized,
+    not corpus-sized), raising on non-convergence (invariant 15). Final
+    labels classify as ``remap`` rows (old cluster id -> new id, emitted
+    only when changed) for contracted ids that are baseline reps, ``assign``
+    rows otherwise.
 
     Output: (kind: 'assign'|'remap', node, cluster_id). Applying it via
     :func:`apply_incremental_cc` reproduces, exactly, a from-scratch CC over
@@ -349,6 +358,10 @@ def incremental_connected_components(
 
     from pdftext_ray.ops import probe
 
+    # the increment is the small side by this op's contract — materialize
+    # the pairs once so the schema, the count, the endpoint assembly and
+    # the task share one execution of the lineage
+    new_pairs = new_pairs.materialize()
     pair_schema = new_pairs.schema()
     if pair_schema is not None:
         id_type = pair_schema.base_schema.field(a_col).type
@@ -357,19 +370,17 @@ def incremental_connected_components(
         # delta from the baseline label table instead
         id_type = baseline_labels.schema().base_schema.field(node_col).type
     delta_schema = pa.schema([("kind", pa.string()), ("node", id_type), ("cluster_id", id_type)])
-
-    # the increment is the small side by this op's contract — materialize
-    # the projected pairs once so the count, the endpoint assembly and the
-    # contraction pass share one execution of the lineage
-    new_pairs = new_pairs.map_batches(
-        lambda t: pa.table({a_col: pc.cast(t.column(a_col), id_type),
-                            b_col: pc.cast(t.column(b_col), id_type)}),
-        batch_format="pyarrow",
-    ).materialize()
     if new_pairs.count() == 0:
         return ray.data.from_arrow(delta_schema.empty_table())
+
+    def column(blocks, name: str) -> np.ndarray:
+        if not blocks:
+            return pa.array([], id_type).to_numpy(zero_copy_only=False)
+        return pa.concat_arrays([pc.cast(b.column(name).combine_chunks(), id_type)
+                                 for b in blocks]).to_numpy(zero_copy_only=False)
+
     ep_ref = probe.key_set(new_pairs, lambda t: np.concatenate(
-        [t.column(a_col).to_numpy(), t.column(b_col).to_numpy()]))
+        [column([t], a_col), column([t], b_col)]))
 
     def filter_labels(t: pa.Table) -> pa.Table:
         """The one corpus-sized scan: emit only baseline rows whose node is
@@ -379,63 +390,48 @@ def incremental_connected_components(
         mask = probe.member_sorted(node.to_numpy(zero_copy_only=False), ray.get(ep_ref))
         return pa.table({"node": node.filter(pa.array(mask)), "lab": lab.filter(pa.array(mask))})
 
-    matched = probe.collect(
-        baseline_labels.map_batches(filter_labels, batch_format="pyarrow"),
-        pa.schema([("node", id_type), ("lab", id_type)]),
-    )
-    # defensive uniqueness (baseline is unique per node by contract),
-    # then key-sorted so workers probe via searchsorted with no setup
-    mdf = matched.to_pandas().drop_duplicates("node").sort_values("node")
-    lut_ref = ray.put((mdf["node"].to_numpy(), mdf["lab"].to_numpy()))
-    # the only contracted ids that can be baseline reps are looked-up
-    # label VALUES (an unmapped endpoint equal to a rep id is impossible:
-    # the rep row (r, r) is in the label table, so it would have matched)
-    rep_ref = ray.put(np.unique(mdf["lab"].to_numpy()))
-
-    def contract(t: pa.Table) -> pa.Table:
-        """Substitute each endpoint by its baseline label via the broadcast
-        lookup (hits only, on the raw array — invariant 16), canonicalize
-        lo/hi, drop self-edges, dedup per batch (the CC tolerates
-        cross-batch duplicates; union-find semantics)."""
-        keys, vals = ray.get(lut_ref)
-        a = probe.substitute_sorted(
-            t.column(a_col).combine_chunks().to_numpy(zero_copy_only=False), keys, vals)
-        b = probe.substitute_sorted(
-            t.column(b_col).combine_chunks().to_numpy(zero_copy_only=False), keys, vals)
-        swap = a > b
-        lo = np.where(swap, b, a)
-        hi = np.where(swap, a, b)
+    def delta(pair_blocks, label_blocks) -> pa.Table:
+        # defensive uniqueness (baseline is unique per node by contract),
+        # then key-sorted for the searchsorted lookup
+        keys, first = np.unique(column(label_blocks, "node"), return_index=True)
+        vals = column(label_blocks, "lab")[first]
+        # contraction: substitute each endpoint by its baseline label (hits
+        # only, on the raw array — invariant 16), canonicalize lo/hi and
+        # drop self-edges
+        a = probe.substitute_sorted(column(pair_blocks, a_col), keys, vals)
+        b = probe.substitute_sorted(column(pair_blocks, b_col), keys, vals)
+        lo, hi = np.where(a > b, b, a), np.where(a > b, a, b)
         keep = lo != hi
-        df = pd.DataFrame({"ma": lo[keep], "mb": hi[keep]}).drop_duplicates()
-        return pa.table({"ma": pa.array(df["ma"].to_numpy(), id_type),
-                         "mb": pa.array(df["mb"].to_numpy(), id_type)})
-
-    contracted = new_pairs.map_batches(contract, batch_format="pyarrow").materialize()
-    if contracted.count() == 0:
-        return ray.data.from_arrow(delta_schema.empty_table())
-
-    final = connected_components_distributed(
-        contracted, a_col="ma", b_col="mb",
-        max_rounds=max_rounds, local_threshold=local_threshold,
-    )
-
-    def classify(t: pa.Table) -> pa.Table:
-        """Classification against the broadcast rep set (np.unique output
-        is sorted): per-node independent once rep membership is a local
-        probe."""
-        node_np = pc.cast(t.column("doc_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
-        val_np = pc.cast(t.column("cluster_id").combine_chunks(), id_type).to_numpy(zero_copy_only=False)
-        is_rep = probe.member_sorted(node_np, ray.get(rep_ref))
-        # a rep whose component min is still itself keeps its id
+        g = _local_converge(pd.DataFrame({
+            "node": np.concatenate([lo[keep], hi[keep]]),
+            "peer": np.concatenate([hi[keep], lo[keep]]),
+        }), max_rounds)
+        if g.empty:
+            return delta_schema.empty_table()
+        # converged stars → (node, min member): leaves point at their root,
+        # roots label themselves
+        e = g[g["peer"] > g["node"]]
+        roots = e["node"].unique()
+        final = pd.DataFrame({
+            "doc_id": np.concatenate([e["peer"].to_numpy(), roots]),
+            "cluster_id": np.concatenate([e["node"].to_numpy(), roots]),
+        }).groupby("doc_id", as_index=False)["cluster_id"].min()
+        # the only contracted ids that can be baseline reps are looked-up
+        # label VALUES (an unmapped endpoint equal to a rep id is
+        # impossible: the rep row (r, r) is in the label table, so it would
+        # have matched); a rep whose component min is still itself keeps
+        # its id
+        node_np, val_np = final["doc_id"].to_numpy(), final["cluster_id"].to_numpy()
+        is_rep = probe.member_sorted(node_np, np.unique(vals))
         keep = ~(is_rep & (node_np == val_np))
-        kinds = np.where(is_rep[keep], "remap", "assign")
         return pa.table({
-            "kind": pa.array(kinds, pa.string()),
+            "kind": pa.array(np.where(is_rep[keep], "remap", "assign"), pa.string()),
             "node": pa.array(node_np[keep], id_type),
             "cluster_id": pa.array(val_np[keep], id_type),
         })
 
-    return final.map_batches(classify, batch_format="pyarrow")
+    return probe.in_one_task(
+        delta, new_pairs, baseline_labels.map_batches(filter_labels, batch_format="pyarrow"))
 
 
 def apply_incremental_cc(

@@ -80,15 +80,15 @@ def incremental_exact_dedup(
     baseline, keeping the smallest new id per hash; dup_count counts
     within-increment copies only.
 
-    Plan: the increment's distinct hash set is broadcast once, ONE scan
-    filters the corpus-sized baseline down to the hashes the increment
-    also contains, and the keep-min aggregation + seen-filter run over
-    increment rows only — the baseline is scanned, never exchanged. No
-    per-row state reaches the driver: the two broadcast hash sets, built in
-    remote tasks, hold at most one 32-char hash per increment row each.
+    Plan: the increment's distinct hash set is broadcast once and ONE scan
+    filters the corpus-sized baseline down to the hashes the increment also
+    contains; the baseline is scanned, never exchanged. The keep-min/size
+    aggregate and the seen-filter then run in one task
+    (:func:`probe.in_one_task`) over the hashed increment and the scan's
+    output, both at most one 32-char hash (plus id) per increment row —
+    the task's memory bound.
     """
     from pdftext_ray.ops import probe
-    from pdftext_ray.ops.relational import hash_grouped_agg
 
     # the increment is the small side by this op's contract — materialize
     # the hashed projection once so the hash-set assembly and the
@@ -97,6 +97,7 @@ def incremental_exact_dedup(
         lambda b: _text_hash_batch(b, text_col).select([id_col, "text_hash"]),
         batch_format="pyarrow",
     ).materialize()
+    id_type = _schema_field_type(new_hashed, id_col) or pa.int64()
     hs_ref = probe.key_set(new_hashed, lambda t: t.column("text_hash"))
 
     def filter_seen(t: pa.Table) -> pa.Table:
@@ -106,19 +107,25 @@ def incremental_exact_dedup(
         mask = probe.member_sorted(col.to_numpy(zero_copy_only=False), ray.get(hs_ref))
         return pa.table({"text_hash": col.filter(pa.array(mask))})
 
-    seen_ref = probe.key_set(
-        baseline_hashes.map_batches(filter_seen, batch_format="pyarrow"),
-        lambda t: t.column("text_hash"))
+    def keep_novel(new_blocks, seen_blocks) -> pa.Table:
+        """Keep-min id and copy count per increment hash absent from the
+        baseline."""
+        if not new_blocks:
+            return pa.schema([("text_hash", pa.string()), ("keep_doc_id", id_type),
+                              ("dup_count", pa.int64())]).empty_table()
+        t = pa.concat_tables(new_blocks)
+        if seen_blocks:
+            seen = pa.concat_arrays([b.column("text_hash").combine_chunks() for b in seen_blocks])
+            t = t.filter(pc.invert(pc.is_in(t.column("text_hash"), value_set=seen)))
+        g = t.group_by("text_hash").aggregate([(id_col, "min"), ([], "count_all")])
+        return pa.table({
+            "text_hash": g.column("text_hash"),
+            "keep_doc_id": pc.cast(g.column(f"{id_col}_min"), id_type),
+            "dup_count": pc.cast(g.column("count_all"), pa.int64()),
+        })
 
-    def drop_seen(t: pa.Table) -> pa.Table:
-        col = t.column("text_hash").combine_chunks()
-        seen = probe.member_sorted(col.to_numpy(zero_copy_only=False), ray.get(seen_ref))
-        return t.filter(pa.array(~seen))
-
-    return hash_grouped_agg(
-        new_hashed, "text_hash",
-        {"keep_doc_id": (id_col, "min"), "dup_count": (id_col, "size")},
-    ).map_batches(drop_seen, batch_format="pyarrow")
+    return probe.in_one_task(
+        keep_novel, new_hashed, baseline_hashes.map_batches(filter_seen, batch_format="pyarrow"))
 
 
 def minhash_signatures(
@@ -225,6 +232,15 @@ def _band_bucket_hash(sig_mat: np.ndarray, bands: int) -> np.ndarray:
     return (acc >> np.uint64(1)).astype(np.int64)
 
 
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal keys in a sorted array
+    (of equal rows, for a 2-D one)."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    diff = sorted_keys[1:] != sorted_keys[:-1]
+    first[1:] = diff.any(axis=1) if diff.ndim == 2 else diff
+    return first
+
+
 def _band_postings_table(
     t: pa.Table, sig_mat: np.ndarray, bands: int, id_col: str, extra_cols=()
 ) -> pa.Table:
@@ -270,26 +286,28 @@ def incremental_minhash_dedup(
     increment's novel set. Ids must be disjoint across baseline and
     increment (monotone id assignment gives this for free).
 
-    Plan (every exchange few-partition and increment-sized, invariant 9;
-    identical signatures collapsed FIRST, invariant 14, so dup-saturated
-    increments emit one flag per copy instead of quadratic bucket pairs):
+    Plan — the baseline is scanned once; everything else is increment-sized
+    and runs in ONE task (:func:`probe.in_one_task`), with identical
+    signatures collapsed before any pair is emitted (invariant 14):
 
     1. signatures for the increment (MinHasher actor pool, or ``new_sigs``);
-       their band-bucket set and whole-signature digest set are broadcast.
-    2. ONE baseline scan, materialized: keep the docs with ≥1 band bucket in
-       the increment's set — the only baseline docs any increment doc can
-       pair with — and tag those whose digest is in the digest set.
-    3. the tagged docs' exact signature bytes → min baseline id are the
-       matched heads, broadcast. Collapse identical increment signatures:
-       every member of a group matching a head is flagged at est 1.0
-       against it; other groups flag every member behind the smallest id,
-       which proceeds as a rep.
-    4. band increment reps ∪ baseline candidates (same bucket formula as
-       minhash_lsh_pairs), candidate pairs new-rep × earlier doc within a
-       bucket. Baseline copies stay uncollapsed: identical signatures give
-       identical estimates and the argmax tie-break (min id) picks the head.
-    5. attach packed sigs to both pair sides (co-partitioned bucket merge,
-       no Acero join), estimate, threshold.
+       their band-bucket set is broadcast.
+    2. ONE baseline scan keeps the docs with ≥1 band bucket in the
+       increment's set — the only baseline docs any increment doc can pair
+       with — and of those one per distinct signature per block, its min
+       id: identical signatures give identical estimates and the argmax
+       tie-break is the min id, so the dropped copies change no verdict.
+    3. the task sorts increment ∪ kept baseline rows by (signature bytes,
+       is_new, id). Each run of identical signatures starts with its head:
+       the min baseline id when the baseline holds that signature (the
+       matched head), else the min new id. Every other new doc of the run
+       is flagged at est 1.0 against the head; the run heads are the
+       candidates (baseline docs and new reps).
+    4. the candidates are banded (same bucket formula as
+       minhash_lsh_pairs); within a bucket ordered by (is_new, id), a new
+       rep pairs with every row before it — baseline docs and smaller-id
+       new reps.
+    5. each pair's estimate indexes the one signature matrix; threshold.
     6. per-new-doc argmax over collapse flags ∪ banded estimates: max est,
        ties by min dup_of — EXCEPT that a doc flagged at collapse reports
        its GROUP HEAD (baseline-first, then smallest id) as dup_of, not the
@@ -306,202 +324,105 @@ def incremental_minhash_dedup(
 
     Output columns are named (``id_col``, dup_of, est_jaccard) — a custom
     ``id_col`` is carried through, not renamed to ``doc_id`` (round-4
-    ADVICE). Every stage is matrix-vectorized over the whole batch via the
+    ADVICE), rows sorted by it. Every step is matrix-vectorized via the
     signature-matrix toolkit above — no per-row hashing or per-pair
     ``np.frombuffer`` (round-4 VERDICT #1).
 
-    State on the driver: per distinct increment signature at most one
-    matched head (num_perm×8 signature bytes + id); the bucket and digest
-    sets (≤ bands + 1 int64 per increment doc) are built in remote tasks.
+    Memory: the task holds about num_perm×8 + bands×8 bytes per increment
+    row (signature matrix and band postings), the same again per kept
+    baseline row (at most one per distinct increment bucket hit), plus the
+    emitted pairs. The bucket set (≤ bands int64 per increment doc) is
+    built in a remote task; nothing per row reaches the driver.
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean, probe, round_half_away
-    from pdftext_ray.ops.relational import _key_part_tag
+    from pdftext_ray.ops import probe, round_half_away
 
     id_type = _schema_field_type(new_ds, id_col) or pa.int64()
-    n_parts = default_num_partitions()
+    out_schema = pa.schema([(id_col, id_type), ("dup_of", id_type), ("est_jaccard", pa.float64())])
 
-    def mark(is_new: int):
-        def fn(t: pa.Table) -> pa.Table:
-            mat = _sig_matrix_from_list(t.column("minhash"), num_perm)
-            return pa.table({
-                id_col: pc.cast(t.column(id_col).combine_chunks(), id_type),
-                "_sigb": _pack_sig_binary(mat),
-                "is_new": pa.array(np.full(len(t), is_new, dtype=np.int8), pa.int8()),
-            })
-
-        return fn
-
-    def buckets(t: pa.Table, n_bands: int) -> np.ndarray:
-        return _band_bucket_hash(_sig_matrix_from_binary(t.column("_sigb"), num_perm), n_bands)
+    def sig_runs(mat: np.ndarray, ids: pa.Array, is_new: np.ndarray):
+        """Row order by (signature bytes, is_new, id) and the mask of the
+        first row of each run of identical signatures in that order."""
+        order = pc.sort_indices(
+            pa.table({"sig": _pack_sig_binary(mat), "is_new": is_new, "id": ids}),
+            [("sig", "ascending"), ("is_new", "ascending"), ("id", "ascending")],
+        ).to_numpy()
+        return order, _run_starts(mat[order])
 
     # the increment is the small side by this op's contract — signatures are
-    # num_perm×8 bytes/doc, so materializing them is bounded; the key sets,
-    # collapse and banding share one execution of the MinHasher lineage
+    # num_perm×8 bytes/doc, so materializing them is bounded; the bucket set
+    # and the task share one execution of the MinHasher lineage
     new_sigs = (
         new_sigs if new_sigs is not None
         else minhash_signatures(new_ds, num_perm, ngram, seed, id_col, text_col)
-    ).map_batches(mark(1), batch_format="pyarrow").materialize()
-
-    # a digest is the bands=1 fold — a vectorized whole-signature hash; its
-    # false positives only add head rows no increment signature matches
-    bucket_ref = probe.key_set(new_sigs, lambda t: buckets(t, bands))
-    digest_ref = probe.key_set(new_sigs, lambda t: buckets(t, 1))
+    ).materialize()
+    bucket_ref = probe.key_set(new_sigs, lambda t: _band_bucket_hash(
+        _sig_matrix_from_list(t.column("minhash"), num_perm), bands))
 
     def scan_base(t: pa.Table) -> pa.Table:
         """The one corpus-sized scan: baseline docs sharing ≥1 band bucket
-        with some increment doc, ``_hit`` where the digest matches too (a
-        doc with an increment doc's signature shares all its buckets)."""
-        t = mark(0)(t)
-        b = buckets(t, bands)
-        keep = probe.member_sorted(b.ravel(), ray.get(bucket_ref)).reshape(b.shape).any(axis=1)
-        t = t.filter(pa.array(keep))
-        hit = probe.member_sorted(buckets(t, 1).ravel(), ray.get(digest_ref))
-        return t.append_column("_hit", pa.array(hit, pa.bool_()))
+        with some increment doc, one per distinct signature (min id)."""
+        mat = _sig_matrix_from_list(t.column("minhash"), num_perm)
+        b = _band_bucket_hash(mat, bands)
+        hit = probe.member_sorted(b.ravel(), ray.get(bucket_ref)).reshape(b.shape).any(axis=1)
+        keep = np.flatnonzero(hit)
+        mat = mat[keep]
+        ids = pc.cast(t.column(id_col).combine_chunks(), id_type).take(keep)
+        order, first = sig_runs(mat, ids, np.zeros(len(keep), dtype=bool))
+        return pa.table({id_col: ids.take(order[first]), "_sigb": _pack_sig_binary(mat[order[first]])})
 
-    base = baseline_sigs.map_batches(scan_base, batch_format="pyarrow").materialize()
-    heads = probe.collect(
-        base.map_batches(
-            lambda t: t.filter(t.column("_hit")).select(["_sigb", id_col]),
-            batch_format="pyarrow",
-        ),
-        pa.schema([("_sigb", pa.binary()), (id_col, id_type)]),
-    ).to_pandas().groupby("_sigb", as_index=False)[id_col].min()  # sorted by _sigb
-    heads_ref = ray.put((heads["_sigb"].to_numpy(), heads[id_col].to_numpy()))
+    def verdicts(new_blocks, base_blocks) -> pa.Table:
+        if not new_blocks:
+            return out_schema.empty_table()
+        ids = pa.concat_arrays(
+            [b.column(id_col).combine_chunks() for b in base_blocks]
+            + [pc.cast(b.column(id_col).combine_chunks(), id_type) for b in new_blocks])
+        mat = np.concatenate(
+            [_sig_matrix_from_binary(b.column("_sigb"), num_perm) for b in base_blocks]
+            + [_sig_matrix_from_list(b.column("minhash"), num_perm) for b in new_blocks])
+        is_new = np.arange(len(ids)) >= len(ids) - sum(b.num_rows for b in new_blocks)
 
-    def sig_part(t: pa.Table) -> pa.Table:
-        # partition tag only needs run-internal consistency (identical sigs
-        # must co-partition for collapse) — a bands=1 bucket fold IS a
-        # vectorized whole-signature hash (round-4 ADVICE: no per-row blake2b)
-        return t.append_column("_part", pa.array(buckets(t, 1).ravel() % n_parts, pa.int64()))
+        # collapse (step 3): run heads are the candidates, the other new
+        # rows of a run are flagged against the run head
+        order, first = sig_runs(mat, ids, is_new)
+        head = order[np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))]
+        flagged = is_new[order] & ~first
+        cand = order[first]
+        cand_new = is_new[cand]
+        cand_ids = ids.take(cand)
 
-    def collapse(g: pd.DataFrame) -> pa.Table:
-        """Collapse identical increment signature BYTES (not a hash of
-        them): a group matching a broadcast baseline head flags every
-        member at that head and emits no rep (the head is already a
-        baseline candidate); any other group flags every member behind its
-        smallest id, which is emitted as the rep."""
-        keys, vals = ray.get(heads_ref)
-        g = g.sort_values(["_sigb", id_col], kind="mergesort")
-        sig_np = g["_sigb"].to_numpy()
-        ids = g[id_col].to_numpy()
-        first = (~g["_sigb"].duplicated()).to_numpy()
-        head = ids[np.maximum.accumulate(np.where(first, np.arange(len(g)), 0))]
-        matched = probe.member_sorted(sig_np, keys)
-        head[matched] = probe.substitute_sorted(sig_np[matched], keys, vals)
-        is_flag = matched | (ids != head)
-        is_rep = first & ~matched
-        n_flag, n_rep = int(is_flag.sum()), int(is_rep.sum())
-        kind = np.repeat(np.array([1, 0], np.int8), [n_flag, n_rep])
-        return pa.table({
-            "kind": pa.array(kind, pa.int8()),
-            id_col: pa.array(np.concatenate([ids[is_flag], ids[is_rep]]), id_type),
-            "dup_of": pa.array(np.concatenate([head[is_flag], ids[is_rep]]), id_type),
-            "_sigb": pa.array([b""] * n_flag + list(sig_np[is_rep]), pa.binary()),
-            "is_new": pa.array(1 - kind, pa.int8()),
-        })
+        # band pairs (step 4): postings sorted by (bucket, is_new, id); a new
+        # row at local rank r pairs with the r rows before it
+        id_rank = np.empty(len(cand), dtype=np.int64)
+        id_rank[pc.sort_indices(cand_ids).to_numpy()] = np.arange(len(cand))
+        row = np.repeat(np.arange(len(cand)), bands)
+        bkt = _band_bucket_hash(mat[cand], bands).ravel()
+        o = np.lexsort((id_rank[row], cand_new[row], bkt))
+        row, bkt = row[o], bkt[o]
+        starts = _run_starts(bkt)
+        grp_start = np.flatnonzero(starts)[np.cumsum(starts) - 1]
+        counts = np.where(cand_new[row], np.arange(len(row)) - grp_start, 0)
+        offs = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        # a pair shared by several bands is estimated once
+        key = np.unique(row[np.repeat(np.arange(len(row)), counts)] * len(cand)
+                        + row[np.repeat(grp_start, counts) + offs])
+        n_c, m_c = key // len(cand), key % len(cand)
 
-    combined = (
-        new_sigs.map_batches(sig_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(collapse, batch_format="pandas")
-        .materialize()
-    )
-    reps = combined.map_batches(
-        lambda t: t.filter(pc.equal(t.column("kind"), pa.scalar(0, pa.int8())))
-        .select([id_col, "_sigb", "is_new"]),
-        batch_format="pyarrow",
-    ).union(base.select_columns([id_col, "_sigb", "is_new"]))
-
-    def band_keys(t: pa.Table) -> pa.Table:
-        mat = _sig_matrix_from_binary(t.column("_sigb"), num_perm)
-        return _band_postings_table(t, mat, bands, id_col, extra_cols=("is_new",))
-
-    def pairs_part(g: pd.DataFrame) -> pa.Table:
-        # Emit (new doc, earlier doc) pairs per bucket, fully vectorized:
-        # under sort key (bucket, is_new, id) the "earlier" members of a new
-        # doc — baseline docs plus smaller-id new docs — are EXACTLY the rows
-        # preceding it within its bucket, so each new doc at local rank r
-        # contributes r pairs (rank/offset arithmetic, no per-bucket loop).
-        g = g.sort_values(["bucket", "is_new", id_col], kind="mergesort")
-        ids = g[id_col].to_numpy()
-        bkt = g["bucket"].to_numpy()
-        n = len(g)
-        starts_mask = np.empty(n, dtype=bool)
-        if n:
-            starts_mask[0] = True
-            starts_mask[1:] = bkt[1:] != bkt[:-1]
-        grp_start = np.flatnonzero(starts_mask)
-        grp_of_row = np.cumsum(starts_mask) - 1
-        local_rank = np.arange(n) - grp_start[grp_of_row]
-        counts = np.where(g["is_new"].to_numpy() == 1, local_rank, 0)
-        total = int(counts.sum())
-        # duplicates across bands are allowed (bounded by `bands`×) — the
-        # final per-doc argmax absorbs them
-        if total == 0:
-            return pa.table({
-                id_col: pa.array([], id_type), "cand": pa.array([], id_type),
-            })
-        n_idx = np.repeat(np.arange(n), counts)
-        offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        m_idx = np.repeat(grp_start[grp_of_row], counts) + offs
-        return pa.table({
-            id_col: pa.array(ids[n_idx], id_type),
-            "cand": pa.array(ids[m_idx], id_type),
-        })
-
-    cands = (
-        reps.map_batches(band_keys, batch_format="pyarrow")
-        .map_batches(_key_part_tag("bucket", n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(pairs_part, batch_format="pandas")
-    )
-    cands = _attach_blobs(
-        cands, [(id_col, id_type), ("cand", id_type)], id_col,
-        reps, id_col, "_sb_n", n_parts, src_col="_sigb", src_packed=True,
-    )
-    cands = _attach_blobs(
-        cands,
-        [(id_col, id_type), ("cand", id_type), ("_sb_n", pa.binary())],
-        "cand", reps, id_col, "_sb_m", n_parts,
-        src_col="_sigb", src_packed=True,
-    )
-
-    def estimate(t: pa.Table) -> pa.Table:
-        a = _sig_matrix_from_binary(t.column("_sb_n"), num_perm)
-        b = _sig_matrix_from_binary(t.column("_sb_m"), num_perm)
-        est = (a == b).sum(axis=1) / float(num_perm)
-        keep = pa.array(est >= threshold)
-        return pa.table({
-            id_col: t.column(id_col).combine_chunks().filter(keep),
-            "dup_of": t.column("cand").combine_chunks().filter(keep),
+        # estimate + threshold (step 5), argmax per new rep (step 6)
+        est = (mat[cand[n_c]] == mat[cand[m_c]]).sum(axis=1) / float(num_perm)
+        keep = est >= threshold
+        n_c, m_c, est = n_c[keep], m_c[keep], round_half_away(est[keep], 6)
+        o = np.lexsort((id_rank[m_c], -est, n_c))
+        best = o[_run_starts(n_c[o])]
+        out = pa.table({
+            id_col: pa.concat_arrays([ids.take(order[flagged]), cand_ids.take(n_c[best])]),
+            "dup_of": pa.concat_arrays([ids.take(head[flagged]), cand_ids.take(m_c[best])]),
             "est_jaccard": pa.array(
-                round_half_away(est[est >= threshold], 6), pa.float64()
-            ),
+                np.concatenate([np.ones(int(flagged.sum())), est[best]]), pa.float64()),
         })
+        return out.take(pc.sort_indices(out.column(id_col)))
 
-    flags = combined.map_batches(
-        lambda t: (lambda k: pa.table({
-            id_col: k.column(id_col),
-            "dup_of": k.column("dup_of"),
-            "est_jaccard": pa.array([1.0] * len(k), pa.float64()),
-        }))(t.filter(pc.equal(t.column("kind"), pa.scalar(1, pa.int8())))),
-        batch_format="pyarrow",
-    )
-
-    def best(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(
-            [id_col, "est_jaccard", "dup_of"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        out = g[~g[id_col].duplicated()]
-        return from_pandas_clean(out[[id_col, "dup_of", "est_jaccard"]])
-
-    return (
-        flags.union(cands.map_batches(estimate, batch_format="pyarrow"))
-        .map_batches(_key_part_tag(id_col, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(best, batch_format="pandas")
-    )
+    return probe.in_one_task(
+        verdicts, new_sigs, baseline_sigs.map_batches(scan_base, batch_format="pyarrow"))
 
 
 def _lsh_bucket_table(

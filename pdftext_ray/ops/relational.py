@@ -375,7 +375,9 @@ def hash_grouped_agg(
 
 def _key_part_tag(key: str, n_parts: int):
     """map_batches fn appending ``_part = hash(key) % n_parts`` (vectorized
-    int fast path via ops.dedup's bucket hash)."""
+    int fast path via ops.dedup's bucket hash). The tagged block carries no
+    schema metadata: a pandas-produced block's metadata dict is unhashable
+    and defeats the shuffle's schema dedup (invariant 8)."""
     import pyarrow as pa
 
     from pdftext_ray.ops.dedup import _bucket_array
@@ -383,7 +385,7 @@ def _key_part_tag(key: str, n_parts: int):
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column(
             "_part", pa.array(_bucket_array(t.column(key).combine_chunks(), n_parts), pa.int64())
-        )
+        ).replace_schema_metadata(None)
 
     return tag
 

@@ -20,12 +20,15 @@ Artifact layout under ``artifact_dir`` (all parquet; one
 An empty/missing ``artifact_dir`` bootstraps from nothing: day 1 simply runs
 against empty baselines (every op handles the empty side).
 
-Scale shape: each op has one plan — the increment's keys are broadcast and
-the baseline artifacts are SCANNED, never shuffled; all exchanges are
-increment-sized. The artifact rewrites stream (union of the old table's
-scan with the new rows) into the day's commit, which either publishes all
-of them or none: a day that raises has not committed, and rerunning it is
-always correct.
+Scale shape: each op has one plan — the increment's keys are broadcast,
+the baseline artifacts are SCANNED, and the increment-sized rest of the op
+runs in one task (``ops/probe.in_one_task``). A day runs no keyed exchange:
+its Ray Data executions are the increment's hash and signature passes, one
+scan per baseline artifact and the three artifact writes, so the fixed cost
+of a day no longer grows with the number of exchanges. The artifact rewrites
+stream (union of the old table's scan with the new rows) into the day's
+commit, which either publishes all of them or none: a day that raises has
+not committed, and rerunning it is always correct.
 """
 
 from __future__ import annotations
@@ -80,16 +83,15 @@ def run_increment(
     when the day did not commit: retrying after an exception is always
     correct. Nothing guards against a CONCURRENT second increment — run one
     increment at a time per artifact_dir (the daily-loop shape)."""
-    from pdftext_ray.ops import cluster, dedup
+    from pdftext_ray.ops import cluster, dedup, probe
 
-    id_type = new_docs.schema().base_schema.field(id_col).type
     hashes_dir = os.path.join(artifact_dir, "hashes")
     sigs_dir = os.path.join(artifact_dir, "sigs")
     labels_dir = os.path.join(artifact_dir, "labels")
     storage.recover(artifact_dir)
 
     new_docs = new_docs.materialize()  # consumed by three stages
-    n_new = new_docs.count()
+    id_type = new_docs.schema().base_schema.field(id_col).type
 
     # -- 1. exact ----------------------------------------------------------
     baseline_hashes = _read_or_empty(
@@ -101,7 +103,7 @@ def run_increment(
 
     # -- 2. minhash --------------------------------------------------------
     sig_schema = pa.schema([(id_col, id_type), ("minhash", pa.list_(pa.int64()))])
-    baseline_sigs = _read_or_empty(sigs_dir, sig_schema).materialize()
+    baseline_sigs = _read_or_empty(sigs_dir, sig_schema)
     # signatures computed ONCE: shared by the verdict op (new_sigs
     # pass-through) and the artifact roll-forward
     new_sigs = dedup.minhash_signatures(
@@ -118,34 +120,25 @@ def run_increment(
     label_schema = pa.schema([("doc_id", id_type), ("cluster_id", id_type)])
     baseline_labels = _read_or_empty(labels_dir, label_schema)
 
-    def as_pairs(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_a": pc.cast(t.column(id_col), id_type),
-            "doc_b": pc.cast(t.column("dup_of"), id_type),
-        })
-
-    kinds = None
+    # every count below is block metadata of a materialized dataset or
+    # a collected table: no count runs an execution of its own
+    kinds = []
     if verdicts.count():
         delta = cluster.incremental_connected_components(
-            verdicts.map_batches(as_pairs, batch_format="pyarrow"),
-            baseline_labels,
-        ).materialize()
+            verdicts, baseline_labels, a_col=id_col, b_col="dup_of").materialize()
         outputs["labels"] = cluster.apply_incremental_cc(baseline_labels, delta)
-        if delta.count():
-            kinds = delta.select_columns(["kind"]).to_pandas()["kind"]
+        kinds = probe.collect(delta, delta.schema().base_schema).column("kind").to_pylist()
     elif not storage.parquet_files(labels_dir):
         outputs["labels"] = ray.data.from_arrow(label_schema.empty_table())
     rows = storage.commit(artifact_dir, outputs)
     if "labels" not in rows:  # no new edges: the label table is NOT rewritten
         rows["labels"] = storage.parquet_row_count(labels_dir)
     return {
-        "new_docs": n_new,
+        "new_docs": new_docs.count(),
         "novel_hashes": novel.count(),
         "flagged": verdicts.count(),
-        "assigned": int((kinds == "assign").sum()) if kinds is not None else 0,
-        "remapped": int((kinds == "remap").sum()) if kinds is not None else 0,
+        "assigned": kinds.count("assign"),
+        "remapped": kinds.count("remap"),
         "hashes_rows": rows["hashes"],
         "sigs_rows": rows["sigs"],
         "labels_rows": rows["labels"],

@@ -198,6 +198,26 @@ def two_days(tmp_path_factory):
     return day1, clean, metrics, calls
 
 
+def test_days_run_no_keyed_exchange(two_days, tmp_path):
+    # the increment-sized work runs in one task per op: with every keyed
+    # exchange of Ray Data made to raise, both days still give the same
+    # metrics and labels as the unpatched run
+    day1, clean, clean_metrics, _ = two_days
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("keyed exchange in the daily loop")
+
+    art = str(tmp_path / "a")
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("groupby", "repartition", "sort", "random_shuffle"):
+            mp.setattr(ray.data.Dataset, name, refuse)
+        increment.run_increment(_docs(_DAY1), art, threshold=0.5)
+        assert _artifacts(art) == _artifacts(day1)
+        metrics = increment.run_increment(_docs(_DAY2), art, threshold=0.5)
+    assert metrics == clean_metrics
+    assert _artifacts(art) == _artifacts(clean)
+
+
 def test_day2_commit_calls(two_days):
     _, clean, metrics, calls = two_days
     assert calls == _DAY2_COMMIT_CALLS

@@ -519,6 +519,28 @@ def test_hash_grouped_agg_keeps_null_keys():
     assert len(null_row) == 1 and int(null_row["n"].iloc[0]) == 2 and int(null_row["mn"].iloc[0]) == 3
 
 
+def test_hash_grouped_agg_over_pandas_blocks_strips_metadata():
+    """A batch_format="pandas" map hands the shuffle blocks whose schema
+    carries pandas metadata (an unhashable dict); the partition tag strips
+    it and the aggregate is unchanged."""
+    from pdftext_ray.ops.relational import _key_part_tag, hash_grouped_agg
+
+    t = pa.table({"k": ["a", "b", "a", "c", "b", "a"], "v": [1, 2, 3, 4, 5, 6]})
+    ds = ray.data.from_arrow(t)
+    pdf = ds.map_batches(lambda df: df.assign(v=df["v"] * 10), batch_format="pandas")
+    aggs = {"n": ("v", "size"), "s": ("v", "sum")}
+    got = hash_grouped_agg(pdf, "k", aggs).to_pandas().sort_values("k").reset_index(drop=True)
+    want = (hash_grouped_agg(ds.map_batches(
+        lambda b: b.set_column(1, "v", pa.compute.multiply(b.column("v"), 10)),
+        batch_format="pyarrow"), "k", aggs)
+        .to_pandas().sort_values("k").reset_index(drop=True))
+    assert got.equals(want) and list(got["s"]) == [100, 70, 40]
+
+    block = pa.Table.from_pandas(t.to_pandas())
+    assert block.schema.metadata
+    assert _key_part_tag("k", 4)(block).schema.metadata is None
+
+
 def test_paragraph_dedup_keep_first_and_empty_doc_retained():
     ds = ray.data.from_arrow(
         pa.table(
@@ -1018,6 +1040,37 @@ def test_incremental_minhash_plans_agree_on_mixed_corpus():
     want = goldens.expected_incremental_minhash_table(
         base_ids + inc_ids, base_texts + inc_texts, threshold=0.3).to_pandas()
     assert got.equals(want) and len(want) >= 12
+
+
+def test_incremental_minhash_dup_saturated_baseline():
+    # 2,000 baseline copies of one text, spread over several blocks, plus a
+    # few distinct docs; the increment holds an exact copy, a near copy and
+    # a novel doc. The scan keeps one row per distinct signature per block,
+    # which must not change any verdict against the scalar golden
+    from pdftext_ray.pipelines import goldens
+
+    rng = np.random.default_rng(5)
+    words = [f"tok{i}" for i in range(200)]
+    def doc():
+        return " ".join(words[i] for i in rng.integers(0, 200, size=30))
+    copy = doc()
+    near = copy.split()
+    near[4] = "tokX"
+    base_texts = [copy] * 2000 + [doc() for _ in range(5)]
+    inc_texts = [copy, " ".join(near), doc()]
+    base_ids = [2 * i for i in range(len(base_texts))]
+    inc_ids = [2 * i + 1 for i in range(len(inc_texts))]
+    base_tab = pa.table({"doc_id": pa.array(base_ids, pa.int64()), "text": base_texts})
+    base = ray.data.from_arrow([base_tab.slice(i, 600) for i in range(0, len(base_ids), 600)])
+    new_docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(inc_ids, pa.int64()), "text": inc_texts}))
+    got = (dedup.incremental_minhash_dedup(
+               new_docs, dedup.minhash_signatures(base).materialize(), threshold=0.3)
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    want = goldens.expected_incremental_minhash_table(
+        base_ids + inc_ids, base_texts + inc_texts, threshold=0.3).to_pandas()
+    assert got.equals(want)
+    assert list(want["doc_id"]) == [1, 3] and list(want["dup_of"]) == [0, 0]
 
 
 def test_incremental_minhash_new_sigs_passthrough():
