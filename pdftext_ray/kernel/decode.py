@@ -46,8 +46,13 @@ class PageArrays:
 class LazyChars:
     """Lazy ``span["chars"]`` view over a PageArrays range. Materializes the
     reference char-tuple list only when indexed/iterated (link splitting,
-    table cells, keep_chars output); pickles as a plain list so the
-    page-exploded shuffle path is unchanged."""
+    table cells, keep_chars output).
+
+    Pickles by reference, as its (arrays, start, end): only whole pages are
+    pickled (``stages.extract.PageExtractor``), and pickle's memo then
+    writes each page's PageArrays once however many spans view it, so no
+    char tuple crosses the page-exploded shuffle. Pickling one span on its
+    own would carry its whole page's arrays."""
 
     __slots__ = ("a", "s", "e", "_mat")
 
@@ -84,7 +89,7 @@ class LazyChars:
         return self._m()[i]
 
     def __reduce__(self):
-        return (list, (self._m(),))
+        return (LazyChars, (self.a, self.s, self.e))
 
 
 class DecodedPage:

@@ -310,7 +310,6 @@ def incremental_connected_components(
     node_col: str = "doc_id",
     label_col: str = "cluster_id",
     max_rounds: int = 64,
-    local_threshold: int = 5_000_000,
 ) -> ray.data.Dataset:
     """Assign an increment's near-dup pairs to PERSISTED cluster ids without
     recomputing components over the baseline graph — the crawl-increment
@@ -333,9 +332,8 @@ def incremental_connected_components(
     task (:func:`probe.in_one_task`) over the increment's pairs and the
     scan's output. Its memory bound: at most two (node, label) rows per
     increment pair, and the contracted graph's edges (at most two per
-    pair). ``local_threshold`` is kept for callers and no longer read:
-    the contracted graph is increment-sized, so it always converges in that
-    task.
+    pair). The contracted graph is increment-sized, so it always converges
+    in that task.
 
     Each endpoint is contracted to its baseline cluster id if labeled, else
     itself; self-edges (pairs inside one existing cluster) drop at

@@ -7,7 +7,7 @@ Plan shape (doc-parallel flagship):
 
 Skew handling (north rule), decided in this module only: docs past
 ``SIZE_BUCKET_THRESHOLD`` payload bytes take the page-exploded branch
-(:func:`_exploded`: pages decoded in parallel, one groupby(doc_id) shuffle to
+(:func:`_exploded`: one row per page, one groupby(doc_id) shuffle to
 reassemble), the rest the fused doc-parallel branch; branches union. Which
 docs are heavy comes from the ingest layout's hive ``size_bucket`` dirs
 (:func:`split_by_size`, zero extra scans) or, for un-bucketed input, from
@@ -89,7 +89,13 @@ def extract_spans(
 def _exploded(ds: ray.data.Dataset, assemble, cfg, page_batch_size: int = 32) -> ray.data.Dataset:
     """The page-exploded branch: explode → per-page decode (PageExtractor)
     → groupby(doc_id).map_groups(assemble), the one shuffle, keyed doc_id.
-    Heavy docs run at page batch 32, so one batch never holds two monsters."""
+
+    It does not split a doc's pages across tasks. Ray fuses explode →
+    PageExtractor, and ``page_batch_size`` makes each fused task bundle at
+    least that many input DOC rows, so all 20 heavy docs of the benchmark's
+    heavy corpus (3 read blocks, 819 pages) run in ONE task and the shuffle
+    reassembles pages that never left it. Both ways to split them measured
+    no faster on a 1-CPU session (ROADMAP, "Page parallelism")."""
     pages = ds.map_batches(X.explode_pages, batch_format="pyarrow").map_batches(
         X.PageExtractor(cfg), batch_format="pyarrow", batch_size=page_batch_size
     )
@@ -164,7 +170,10 @@ def _heavy_bucket_blocks(files: List[str], nblocks: int) -> int:
     that as 64 sort partitions — ~13 s of pure shuffle fixed overhead for
     96 page rows (ds.stats audit, round 3). ~8 heavy docs (≈100 exploded
     pages) per block keeps the shuffle proportional to the data while
-    4×read-parallelism caps it for genuinely large heavy buckets."""
+    4×read-parallelism caps it for genuinely large heavy buckets. The count
+    does not set page parallelism: the fused explode → PageExtractor task
+    bundles at least ``page_batch_size`` doc rows, so a bucket of up to 32
+    heavy docs decodes in one task however many blocks it is read as."""
     import math
 
     import pyarrow.parquet as _pq

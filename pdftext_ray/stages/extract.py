@@ -13,9 +13,14 @@ Two physical plans:
 * **doc-parallel** (default): one row = one document; embarrassingly parallel,
   zero shuffles. Right at 10^12-doc scale because the unit of skew is a doc.
 * **page-exploded** (heavy tail): pathological documents (hundreds of pages)
-  explode to one row per page, pages decode in parallel, and
+  explode to one row per page, ``PageExtractor`` decodes each page row, and
   ``groupby(doc_id).map_groups`` reassembles the document (the only shuffle,
-  keyed by doc_id; SURVEY.md §4 "skew").
+  keyed by doc_id; SURVEY.md §4 "skew"). Pages do NOT decode in parallel
+  today: Ray fuses explode → PageExtractor into tasks that bundle at least
+  a page batch of input DOC rows, so a doc's pages never leave the task
+  that exploded them (see ``pipelines.extract._exploded``). Page state
+  crosses the shuffle pickled, with each page's char arrays written once
+  (``kernel.decode.LazyChars``).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import List
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from pdftext_ray.kernel.document import (
     ExtractConfig,
@@ -39,54 +45,36 @@ from pdftext_ray.kernel.document import (
 from pdftext_ray.stages import schemas
 
 
-def _doc_payloads(spans_cell: list) -> List[str]:
-    """Pull the per-page payloads (kind='text' spans) out of one input row."""
-    return [s["text"] for s in spans_cell if s["kind"] == "text"]
+def _span_texts(batch: pa.Table):
+    """Every span of the batch's ``spans`` column, in one Arrow walk:
+    ``(rows, is_text, texts)`` — each span's input row (int64, ascending),
+    a mask of ``kind == 'text'`` and the span texts (Arrow). Null lists give
+    no spans; chunks and slices are resolved by ``list_flatten`` /
+    ``list_parent_indices`` (a chunk's raw offsets/values are UNSLICED)."""
+    spans = batch.column("spans")
+    if pa.types.is_null(spans.type.value_type):
+        # a degenerate all-empty/null column (e.g. schema-inferred upstream)
+        return np.zeros(0, np.int64), np.zeros(0, bool), pa.chunked_array([], pa.string())
+    flat = pc.list_flatten(spans)
+    rows = pc.list_parent_indices(spans).to_numpy().astype(np.int64, copy=False)
+    is_text = pc.equal(pc.struct_field(flat, "kind"), "text").fill_null(False).to_numpy()
+    return rows, is_text, pc.struct_field(flat, "text")
 
 
 def _batch_payloads(batch: pa.Table) -> List[List[str]]:
-    """Per-row payload lists, converting ONLY the text strings + a kind mask
-    (cheaper than materializing every span struct as a Python dict)."""
-    spans = batch.column("spans").combine_chunks()
-    if len(spans) == 0 or pa.types.is_null(spans.type.value_type):
-        return [[] for _ in range(len(batch))]
-    offsets = spans.offsets.to_numpy(zero_copy_only=False)
-    flat = spans.flatten()
-    # flatten() skips null list entries; realign offsets for that case
-    if spans.null_count:
-        valid = pa.compute.is_valid(spans).to_numpy(zero_copy_only=False)
-        lengths = np.diff(offsets) * valid
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-    else:
-        offsets = offsets - offsets[0]
-    is_text = pa.compute.equal(flat.field("kind"), "text").to_numpy(zero_copy_only=False)
-    texts = flat.field("text").to_pylist()
-    out = []
-    for i in range(len(spans)):
-        s, e = offsets[i], offsets[i + 1]
-        out.append([texts[j] for j in range(s, e) if is_text[j]])
-    return out
+    """Per-row page payload lists (the kind='text' spans' texts)."""
+    rows, is_text, texts = _span_texts(batch)
+    texts = texts.filter(is_text).to_pylist()
+    ends = np.cumsum(np.bincount(rows[is_text], minlength=len(batch))).tolist()
+    return [texts[s:e] for s, e in zip([0] + ends[:-1], ends)]
 
 
 def payload_sizes(batch: pa.Table) -> pa.Table:
-    """Pre-pass: per-doc payload byte size for skew bucketing (north rule).
-
-    Vectorized over Arrow list offsets — no Python per row.
-    """
-    spans = batch.column("spans")
-    sizes = np.zeros(len(batch), dtype=np.int64)
-    pos = 0
-    for chunk in spans.chunks if isinstance(spans, pa.ChunkedArray) else [spans]:
-        # flatten() yields exactly this chunk's (slice-adjusted, null-skipped)
-        # values — chunk.values/offsets would be the UNSLICED backing arrays
-        flat = chunk.flatten()
-        lengths = pa.compute.list_value_length(chunk).fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-        tl = pa.compute.binary_length(flat.field("text")).to_numpy(zero_copy_only=False)
-        csum = np.concatenate([[0], np.cumsum(tl)])
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        sizes[pos:pos + len(chunk)] = csum[ends] - csum[starts]
-        pos += len(chunk)
+    """Pre-pass: per-doc payload byte size for skew bucketing (north rule) —
+    the UTF-8 bytes of every span's text, as ingest's ``n_bytes``."""
+    rows, _, texts = _span_texts(batch)
+    lengths = pc.binary_length(texts).fill_null(0).to_numpy()
+    sizes = np.bincount(rows, weights=lengths, minlength=len(batch)).astype(np.int64)
     return batch.append_column("payload_bytes", pa.array(sizes, pa.int64()))
 
 
@@ -308,19 +296,15 @@ class TableCellExtractorWithInputs:
 
 def explode_pages(batch: pa.Table) -> pa.Table:
     """Doc rows → page rows (doc_id, page_pos, payload)."""
-    doc_ids = batch.column("doc_id").to_pylist()
-    spans_col = batch.column("spans").to_pylist()
-    o_doc, o_pos, o_payload = [], [], []
-    for doc_id, cell in zip(doc_ids, spans_col):
-        for pos, payload in enumerate(_doc_payloads(cell or [])):
-            o_doc.append(doc_id)
-            o_pos.append(pos)
-            o_payload.append(payload)
+    rows, is_text, texts = _span_texts(batch)
+    rows = rows[is_text]
+    # page_pos: rank of each payload among its row's payloads
+    page_pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
     return pa.Table.from_arrays(
         [
-            pa.array(o_doc, pa.string()),
-            pa.array(o_pos, pa.int32()),
-            pa.array(o_payload, pa.string()),
+            batch.column("doc_id").take(rows).cast(pa.string()),
+            pa.array(page_pos, pa.int32()),
+            texts.filter(is_text).cast(pa.string()),
         ],
         schema=schemas.PAGE_ROW_SCHEMA,
     )

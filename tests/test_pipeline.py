@@ -204,8 +204,9 @@ def _assert_spans_match_reference(got_rows, rows):
     """Span-sequence rows == the Ray-free ``extract_document`` per doc."""
     got = {r["doc_id"]: r for r in got_rows}
     assert sorted(got) == sorted(r["doc_id"] for r in rows)
-    for r in rows:
-        ref, out = extract_document(X._doc_payloads(r["spans"])), got[r["doc_id"]]
+    payloads = X._batch_payloads(corpus_io._rows_to_input_table(rows))
+    for r, doc_payloads in zip(rows, payloads):
+        ref, out = extract_document(doc_payloads), got[r["doc_id"]]
         assert out["error"] == ""
         assert list(out["spans"]) == ref["spans"], r["doc_id"]
         assert (out["n_pages"], out["n_chars"]) == (ref["n_pages"], ref["n_chars"])
