@@ -90,35 +90,19 @@ def _edge_sets_equal(ds_a: ray.data.Dataset, ds_b: ray.data.Dataset, parts: int)
     sides hash-partition on node (copies of an edge co-locate), then each
     partition compares its two sorted deduped frames. One co-partitioned
     shuffle + a per-partition boolean collect — run once per CC run, only
-    after the cheap fingerprint already matched."""
-    from pdftext_ray.ops.relational import _key_part_tag
+    after the cheap fingerprint already matched. Both tables are
+    materialized, so their schema is free."""
+    from pdftext_ray.ops.exchange import by_key
 
-    def side(tag: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "_side", pa.array(np.full(len(t), tag, dtype=np.int8), pa.int8())
-            )
+    schema = ds_b.schema().base_schema
 
-        return fn
+    def canon(e: pd.DataFrame) -> pd.DataFrame:
+        return e.drop_duplicates().sort_values(["node", "peer"]).reset_index(drop=True)
 
-    both = (
-        ds_a.map_batches(side(0), batch_format="pyarrow")
-        .union(ds_b.map_batches(side(1), batch_format="pyarrow"))
-        .map_batches(_key_part_tag("node", parts), batch_format="pyarrow")
-    )
+    def cmp(g: dict) -> pa.Table:
+        return pa.table({"eq": pa.array([bool(canon(g["a"]).equals(canon(g["b"])))], pa.bool_())})
 
-    def cmp(g: pd.DataFrame) -> pa.Table:
-        def canon(side_tag: int) -> pd.DataFrame:
-            return (
-                g.loc[g["_side"] == side_tag, ["node", "peer"]]
-                .drop_duplicates()
-                .sort_values(["node", "peer"])
-                .reset_index(drop=True)
-            )
-
-        return pa.table({"eq": pa.array([bool(canon(0).equals(canon(1)))], pa.bool_())})
-
-    rows = both.groupby("_part").map_groups(cmp, batch_format="pandas").take_all()
+    rows = by_key({"a": (ds_a, "node", schema), "b": (ds_b, "node", schema)}, cmp, parts).take_all()
     return all(r["eq"] for r in rows)
 
 
@@ -208,25 +192,21 @@ def connected_components_distributed(
     omitted.
     """
     from pdftext_ray.ops import default_num_partitions, from_pandas_clean
+    from pdftext_ray.ops.exchange import by_key
 
     def to_edges(batch: pa.Table) -> pa.Table:
         a = batch.column(a_col).combine_chunks()
         b = batch.column(b_col).combine_chunks()
         return pa.table({"node": pa.concat_arrays([a, b]), "peer": pa.concat_arrays([b, a])})
 
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    def make_tag(parts: int):
-        return _key_part_tag("node", parts)
-
     def large_part(g: pd.DataFrame) -> pd.DataFrame:
         # partition key is a function of node, so each node's FULL adjacency
         # is co-located; cross-partition duplicate emissions are deduped at
         # the next pass's entry (they co-locate by node again)
-        return from_pandas_clean(_undirect(_large_star_frame(g[["node", "peer"]].drop_duplicates())))
+        return _undirect(_large_star_frame(g[["node", "peer"]].drop_duplicates()))
 
     def small_part(g: pd.DataFrame) -> pd.DataFrame:
-        return from_pandas_clean(_undirect(_small_star_frame(g[["node", "peer"]].drop_duplicates())))
+        return _undirect(_small_star_frame(g[["node", "peer"]].drop_duplicates()))
 
     edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
     prev_fp = None
@@ -247,17 +227,8 @@ def connected_components_distributed(
             converged = True
             break
         parts = default_num_partitions(rows=n_edges)
-        mid = (
-            edges.map_batches(make_tag(parts), batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(large_part, batch_format="pandas")
-        )
-        edges = (
-            mid.map_batches(make_tag(parts), batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(small_part, batch_format="pandas")
-            .materialize()
-        )
+        mid = by_key((edges, "node"), large_part, parts)
+        edges = by_key((mid, "node"), small_part, parts).materialize()
         # fingerprint match is only a pre-filter: convergence is declared on
         # EXACT edge-set equality, so a 2^-64 hash-sum collision costs one
         # wasted comparison, never a wrong early stop (round-4 ADVICE —

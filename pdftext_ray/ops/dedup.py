@@ -22,6 +22,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from pdftext_ray.ops import from_pandas_clean, round_half_away, vec_matrix
+from pdftext_ray.ops.exchange import by_key
 
 # 31-bit Mersenne prime: a, b, x < p keeps a*x + b < 2^63, so the minhash
 # permutations h_i(x) = (a_i·x + b_i) mod p run fully vectorized in uint64 —
@@ -519,8 +520,7 @@ def incremental_embedding_dedup(
     """
     from itertools import combinations
 
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean, probe
-    from pdftext_ray.ops.relational import _key_part_tag
+    from pdftext_ray.ops import probe
 
     if not 0 <= probe_radius <= n_planes:
         raise ValueError(f"probe_radius must be in [0, {n_planes}], got {probe_radius}")
@@ -573,8 +573,6 @@ def incremental_embedding_dedup(
             "cosine": pa.array(o_c, pa.float64()),
         })
 
-    n_parts_b = default_num_partitions()
-
     def part_verdicts(g: pd.DataFrame):
         # few-partition bucket scan (invariant 9): all buckets of a hash
         # partition in one vectorized pass, not per-distinct-bucket groups
@@ -604,28 +602,16 @@ def incremental_embedding_dedup(
     base_posts = baseline_emb.map_batches(bucketize(0), batch_format="pyarrow").map_batches(
         filter_base, batch_format="pyarrow")
 
-    hits = (
-        new_posts
-        .union(base_posts)
-        .map_batches(_key_part_tag("bucket", n_parts_b), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(part_verdicts, batch_format="pandas")
-    )
+    hits = by_key((new_posts.union(base_posts), "bucket"), part_verdicts)
 
     def best(g: pd.DataFrame):
         g = g.sort_values(
             [id_col, "cosine", "dup_of"], ascending=[True, False, True],
             kind="mergesort",
         )
-        out = g[~g[id_col].duplicated()]
-        return from_pandas_clean(out[[id_col, "dup_of", "cosine"]])
+        return g[~g[id_col].duplicated()][[id_col, "dup_of", "cosine"]]
 
-    n_parts = default_num_partitions()
-    return (
-        hits.map_batches(_key_part_tag(id_col, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(best, batch_format="pandas")
-    )
+    return by_key((hits, id_col), best)
 
 
 def prefix_dedup(
@@ -692,11 +678,6 @@ def paragraph_dedup(
     Documents whose every paragraph was dropped still emit a row (text='').
     Output: (doc_id, text, n_paras, n_dropped).
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-
-    if n_parts is None:
-        n_parts = default_num_partitions()
-
     def explode(t: pa.Table) -> pa.Table:
         parts = pc.split_pattern(t.column(text_col), pattern=sep)
         if isinstance(parts, pa.ChunkedArray):
@@ -707,17 +688,12 @@ def paragraph_dedup(
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         idx = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
         flat = parts.flatten()
-        tbl = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [pa.array(ids, id_type), pa.array(idx, pa.int64()), flat],
             names=[id_col, "para_idx", "para"],
         )
-        return tbl.append_column(
-            "_part", pa.array(_bucket_array(tbl.column("para").combine_chunks(), n_parts), pa.int64())
-        )
 
     def keep_flags(g):
-        import pandas as pd
-
         paras = g["para"].to_numpy()
         order = np.lexsort((g["para_idx"].to_numpy(), g[id_col].to_numpy(), paras))
         sp = paras[order]
@@ -734,18 +710,9 @@ def paragraph_dedup(
                 "keep": keep,
             }
         )
-        return from_pandas_clean(out)
+        return out
 
-    flagged = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(keep_flags, batch_format="pandas")
-    )
-
-    def tag_doc(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part2", pa.array(_bucket_array(t.column(id_col).combine_chunks(), n_parts), pa.int64())
-        )
+    flagged = by_key((ds.map_batches(explode, batch_format="pyarrow"), "para"), keep_flags, n_parts)
 
     def reassemble(g):
         ids = g[id_col].to_numpy()
@@ -777,11 +744,7 @@ def paragraph_dedup(
             names=[id_col, "text", "n_paras", "n_dropped"],
         )
 
-    return (
-        flagged.map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("_part2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    return by_key((flagged, id_col), reassemble, n_parts)
 
 
 def line_frequency_dedup(
@@ -806,11 +769,6 @@ def line_frequency_dedup(
     Output: (doc_id, text, n_lines, n_removed); a fully-boilerplate document
     still emits a row (text='').
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-
-    if n_parts is None:
-        n_parts = default_num_partitions()
-
     def explode(t: pa.Table) -> pa.Table:
         parts = pc.split_pattern(t.column(text_col), pattern=sep)
         if isinstance(parts, pa.ChunkedArray):
@@ -821,12 +779,9 @@ def line_frequency_dedup(
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         idx = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
         flat = parts.flatten()
-        tbl = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [pa.array(ids, id_type), pa.array(idx, pa.int64()), flat],
             names=[id_col, "line_idx", "line"],
-        )
-        return tbl.append_column(
-            "_part", pa.array(_bucket_array(tbl.column("line").combine_chunks(), n_parts), pa.int64())
         )
 
     def keep_flags(g):
@@ -853,18 +808,9 @@ def line_frequency_dedup(
                 "keep": keep,
             }
         )
-        return from_pandas_clean(out)
+        return out
 
-    flagged = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(keep_flags, batch_format="pandas")
-    )
-
-    def tag_doc(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part2", pa.array(_bucket_array(t.column(id_col).combine_chunks(), n_parts), pa.int64())
-        )
+    flagged = by_key((ds.map_batches(explode, batch_format="pyarrow"), "line"), keep_flags, n_parts)
 
     def reassemble(g):
         ids = g[id_col].to_numpy()
@@ -896,11 +842,7 @@ def line_frequency_dedup(
             names=[id_col, "text", "n_lines", "n_removed"],
         )
 
-    return (
-        flagged.map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("_part2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    return by_key((flagged, id_col), reassemble, n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,16 +945,6 @@ def _postings_candidate_pairs(
     per-row accumulate calls, not in pair math). ``max_doc_freq`` drops
     hotter-than-N buckets (recall knob; None = every bucket); ``n_parts``
     lets callers who know the posting count for free size the shuffle."""
-    from pdftext_ray.ops import default_num_partitions
-
-    if n_parts is None:
-        n_parts = default_num_partitions()
-
-    def tag_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part", pa.array(_bucket_array(t.column("bucket").combine_chunks(), n_parts), pa.int64())
-        )
-
     def emit_part(g: pd.DataFrame) -> pd.DataFrame:
         # sort + numpy run boundaries (a pandas groupby ITERATION pays
         # ~100 µs per group; duplication-heavy corpora have ~every bucket
@@ -1045,28 +977,13 @@ def _postings_candidate_pairs(
             )
         if not out_a:
             empty = g[id_col].iloc[:0]
-            return from_pandas_clean(pd.DataFrame({a_col: empty, b_col: empty}))
-        return from_pandas_clean(pd.DataFrame(
+            return pd.DataFrame({a_col: empty, b_col: empty})
+        return pd.DataFrame(
             {a_col: np.concatenate(out_a), b_col: np.concatenate(out_b)}
-        ).drop_duplicates())
+        ).drop_duplicates()
 
-    cands = (
-        postings.map_batches(tag_bucket, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(emit_part, batch_format="pandas")
-    )
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        return t.append_column("_part", pa.array(_pair_part_array(t, a_col, b_col, n_parts), pa.int64()))
-
-    def dedup_part(g: pd.DataFrame):
-        return from_pandas_clean(g[[a_col, b_col]].drop_duplicates())
-
-    return (
-        cands.map_batches(tag_pair, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(dedup_part, batch_format="pandas")
-    )
+    cands = by_key((postings, "bucket"), emit_part, n_parts)
+    return by_key((cands, (a_col, b_col)), lambda g: g[[a_col, b_col]].drop_duplicates(), n_parts)
 
 
 def _shingle_bucket_candidates(
@@ -1104,125 +1021,37 @@ def _shingle_postings(sigs: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
     return sigs.map_batches(explode, batch_format="pyarrow")
 
 
-def _bucket_of(v, num_buckets: int) -> int:
-    """Deterministic bucket for co-partitioning (stable across sides/types)."""
-    return int.from_bytes(hashlib.blake2b(repr(v).encode(), digest_size=8).digest(), "big") % num_buckets
-
-
-def _pair_part_array(t: pa.Table, a_col: str, b_col: str, num_buckets: int) -> np.ndarray:
-    """Vectorized deterministic partition for PAIR rows (shared by every
-    few-partition pair shuffle — one place to fix mixing). Both ids multiply
-    by odd constants before the xor so both reach the kept high bits
-    (a raw/offset second id only perturbs bits the >>32 discards — the
-    partition would degenerate to hash(id_a), funneling every hot-doc pair
-    into one task)."""
-    if len(t) and pa.types.is_integer(t.schema.field(a_col).type):
-        a = np.asarray(t.column(a_col)).astype(np.uint64)
-        b = np.asarray(t.column(b_col)).astype(np.uint64)
-        mixed = (a * np.uint64(0x9E3779B97F4A7C15)) ^ (b * np.uint64(0xC2B2AE3D27D4EB4F))
-        return ((mixed >> np.uint64(32)) % np.uint64(num_buckets)).astype(np.int64)
-    return np.array(
-        [
-            _bucket_of((x, y), num_buckets)
-            for x, y in zip(t.column(a_col).to_pylist(), t.column(b_col).to_pylist())
-        ],
-        dtype=np.int64,
-    )
-
-
-def _bucket_array(col, num_buckets: int) -> np.ndarray:
-    """Vectorized deterministic buckets for a key column.
-
-    Integer keys take a numpy Fibonacci-hash fast path; other types fall
-    back to per-row blake2b. Both sides of a co-partitioned merge see the
-    same arrow type, so the dispatch is consistent across sides.
-    """
-    typ = col.type
-    if col.null_count:
-        # nulls partition deterministically with the zero/empty sentinel —
-        # a partition key only needs run-internal consistency; the GROUP key
-        # stays the true (possibly null) value downstream
-        col = col.fill_null(0 if pa.types.is_integer(typ) else "")
-    if pa.types.is_integer(typ):
-        ids = np.asarray(col).astype(np.uint64)
-        return (((ids * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)) % np.uint64(num_buckets)).astype(np.int64)
-    # strings: pandas' C siphash (vectorized) — run-internally consistent,
-    # which is all a partition key needs (~10× a per-row blake2b loop)
-    import pandas as _pd
-
-    vals = np.asarray(col.to_pylist(), dtype=object)
-    return (_pd.util.hash_array(vals) % np.uint64(num_buckets)).astype(np.int64)
-
-
 def _attach_blobs(
     pairs: ray.data.Dataset,
     pair_cols,  # list[(name, pa.DataType)] — pairs' current columns
     key_col: str,
-    sigs: ray.data.Dataset,
+    blobs: ray.data.Dataset,  # (id_col, blob binary)
     id_col: str,
     blob_col: str,
     num_buckets: int,
-    src_col: str = "shingles",
-    src_packed: bool = False,
+    how: str,
 ) -> ray.data.Dataset:
-    """Attach each signature blob (the packed ``src_col`` list column of
-    ``sigs``) to the pair rows referencing it via a
-    co-partitioned bucket merge: tag both sides with ``bucket = hash(key) %
-    B`` over a COMMON schema, union, and merge per bucket with one vectorized
-    ``pd.merge`` (the portable hash-join plan from ops/joins.py). Chosen over
-    ``Dataset.join`` because Acero-backed join partitions that receive zero
-    blocks build column-less tables and fail key resolution — this pattern is
-    robust to empty inputs, empty partitions and list/binary payloads.
-    """
-    names = [n for n, _ in pair_cols]
+    """Attach ``blobs``' binary ``blob`` column, as ``blob_col``, to the pair
+    rows whose ``key_col`` names its ``id_col``: one two-sided
+    :func:`exchange.by_key` and one vectorized ``pd.merge`` per part (never
+    ``Dataset.join``, whose zero-block partitions build column-less tables
+    and fail key resolution). ``how="left"`` keeps pairs with no blob row,
+    with ``b""``."""
+    key_type = dict(pair_cols)[key_col]
 
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        n = len(t)
-        # cast (zero-copy when types already match; repairs null-typed
-        # columns from empty upstream pandas blocks) instead of a Python
-        # to_pylist round-trip — this stage is on the pair-shuffle hot path
-        cols = {
-            name: pc.cast(t.column(name).combine_chunks(), typ) for name, typ in pair_cols
-        }
-        cols[blob_col] = pa.array([None] * n, pa.binary())
-        cols["_is_sig"] = pa.array(np.zeros(n, dtype=np.int8), pa.int8())
-        cols["_bucket"] = pa.array(_bucket_array(cols[key_col], num_buckets), pa.int64())
-        return pa.table(cols)
+    def rename(t: pa.Table) -> pa.Table:
+        return pa.table({key_col: t.column(id_col), blob_col: t.column("blob")})
 
-    def tag_sigs(t: pa.Table) -> pa.Table:
-        key_arr = pc.cast(t.column(id_col).combine_chunks(), dict(pair_cols)[key_col])
-        n = len(t)
-        cols = {}
-        for name, typ in pair_cols:
-            # non-key pair columns get typed DUMMIES (not nulls: a null in an
-            # int64 column makes the pandas merge stage promote it to float64,
-            # corrupting id dtypes downstream); _is_sig filters them out
-            if name == key_col:
-                cols[name] = key_arr
-            elif pa.types.is_binary(typ):
-                cols[name] = pa.array([b""] * n, typ)
-            else:
-                cols[name] = pc.cast(key_arr, typ)
-        if src_packed:
-            cols[blob_col] = pc.cast(t.column(src_col).combine_chunks(), pa.binary())
-        else:
-            cols[blob_col] = pa.array(
-                [np.asarray(sh, dtype="<i8").tobytes() for sh in t.column(src_col).to_pylist()],
-                pa.binary(),
-            )
-        cols["_is_sig"] = pa.array(np.ones(n, dtype=np.int8), pa.int8())
-        cols["_bucket"] = pa.array(_bucket_array(key_arr, num_buckets), pa.int64())
-        return pa.table(cols)
+    def merge(g: dict) -> pd.DataFrame:
+        m = g["pairs"].merge(g["blobs"], on=key_col, how=how)
+        m[blob_col] = m[blob_col].where(m[blob_col].notna(), b"")
+        return m
 
-    def merge(g: pd.DataFrame):
-        sig = g[g["_is_sig"] == 1][[key_col, blob_col]]
-        prs = g[g["_is_sig"] == 0][names]
-        return from_pandas_clean(prs.merge(sig, on=key_col, how="inner"))
-
-    tagged = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        sigs.select_columns([id_col, src_col]).map_batches(tag_sigs, batch_format="pyarrow")
-    )
-    return tagged.groupby("_bucket").map_groups(merge, batch_format="pandas")
+    return by_key({
+        "pairs": (pairs, key_col, pa.schema(pair_cols)),
+        "blobs": (blobs.map_batches(rename, batch_format="pyarrow"), key_col,
+                  pa.schema([(key_col, key_type), (blob_col, pa.binary())])),
+    }, merge, num_buckets)
 
 
 def _schema_field_type(ds: ray.data.Dataset, col: str) -> Optional[pa.DataType]:
@@ -1282,18 +1111,17 @@ def _verify_pairs_exact_jaccard(
             out_col: pa.array([], pa.float64()),
         }))
     id_type = dict(zip(_sch.names, _sch.types))[id_col]
-    joined = _attach_blobs(
-        cands, [(a_col, id_type), (b_col, id_type)], a_col, sigs, id_col, "_sh_a", num_partitions
-    )
-    joined = _attach_blobs(
-        joined,
-        [(a_col, id_type), (b_col, id_type), ("_sh_a", pa.binary())],
-        b_col,
-        sigs,
-        id_col,
-        "_sh_b",
-        num_partitions,
-    )
+
+    def pack(t: pa.Table) -> pa.Table:
+        return pa.table({id_col: t.column(id_col), "blob": pa.array(
+            [np.asarray(sh, dtype="<i8").tobytes() for sh in t.column("shingles").to_pylist()],
+            pa.binary())})
+
+    packed = sigs.select_columns([id_col, "shingles"]).map_batches(pack, batch_format="pyarrow")
+    pair_cols = [(a_col, id_type), (b_col, id_type)]
+    joined = _attach_blobs(cands, pair_cols, a_col, packed, id_col, "_sh_a", num_partitions, "inner")
+    joined = _attach_blobs(joined, pair_cols + [("_sh_a", pa.binary())], b_col, packed, id_col,
+                           "_sh_b", num_partitions, "inner")
 
     def verify(batch: pa.Table) -> pa.Table:
         o_a, o_b, o_j = [], [], []
@@ -1462,16 +1290,13 @@ def simhash_pairs(
             o_key.extend(c * 65536 + v for v in vals)
             o_id.extend(ids)
             o_sim.extend(sims_list)
-        t = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [
                 pa.array(o_key, pa.int64()),
                 pa.array(o_id, batch.schema.field(id_col).type),
                 pa.array(o_sim, pa.uint64()),
             ],
             names=["bucket", id_col, "simhash"],
-        )
-        return t.append_column(
-            "_part", pa.array(_bucket_array(t.column("bucket").combine_chunks(), n_parts), pa.int64())
         )
 
     def part_pairs(part: pd.DataFrame) -> pd.DataFrame:
@@ -1499,30 +1324,23 @@ def simhash_pairs(
                 o_h.append(ham[ia, ib])
         if not o_a:
             empty = part[id_col].iloc[:0]
-            return from_pandas_clean(pd.DataFrame({"doc_a": empty, "doc_b": empty, "hamming": pd.Series([], dtype=np.int64)}))
-        return from_pandas_clean(pd.DataFrame({
+            return pd.DataFrame({"doc_a": empty, "doc_b": empty, "hamming": pd.Series([], dtype=np.int64)})
+        return pd.DataFrame({
             "doc_a": np.concatenate(o_a),
             "doc_b": np.concatenate(o_b),
             "hamming": np.concatenate(o_h).astype(np.int64),
-        }).drop_duplicates(["doc_a", "doc_b"]))
+        }).drop_duplicates(["doc_a", "doc_b"])
 
-    pairs = sigs.map_batches(explode, batch_format="pyarrow").groupby("_part").map_groups(
-        part_pairs, batch_format="pandas"
-    )
+    pairs = by_key((sigs.map_batches(explode, batch_format="pyarrow"), "bucket"), part_pairs, n_parts)
 
     # global pair dedup (a pair can match on several chunks, landing in
     # different partitions): few-partition shuffle + vectorized min — NOT a
     # per-distinct-pair Min aggregate (~65 µs/key; the pair set is 200k+ on
     # duplication-heavy corpora)
-    def tag_pair(t: pa.Table) -> pa.Table:
-        return t.append_column("_part2", pa.array(_pair_part_array(t, "doc_a", "doc_b", n_parts), pa.int64()))
-
     def min_part(g: pd.DataFrame):
-        return from_pandas_clean(g.groupby(["doc_a", "doc_b"], as_index=False)["hamming"].min())
+        return g.groupby(["doc_a", "doc_b"], as_index=False)["hamming"].min()
 
-    return pairs.map_batches(tag_pair, batch_format="pyarrow").groupby("_part2").map_groups(
-        min_part, batch_format="pandas"
-    )
+    return by_key((pairs, ("doc_a", "doc_b")), min_part, n_parts)
 
 
 def _collapse_identical_sets(
@@ -1570,7 +1388,6 @@ def _collapse_identical_sets(
             id_col: ids.take(pa.array(keep_idx, pa.int64())),
             "_packed": pa.array(packed, pa.binary()),
             "_ghash": pa.array(gh, pa.int64()),
-            "_part": pa.array(gh % n_parts, pa.int64()),
         })
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -1616,21 +1433,19 @@ def _collapse_identical_sets(
             j.extend([1.0] * m)
             blob.extend([b""] * m)
             gsize.extend([0] * m)
-        return from_pandas_clean(pd.DataFrame({
+        return pd.DataFrame({
             "kind": pd.Series(kind, dtype=np.int8),
             "a": pd.Series(a, dtype=g[id_col].dtype),
             "b": pd.Series(b, dtype=g[id_col].dtype),
             "jaccard": pd.Series(j, dtype=np.float64),
             "blob": pd.Series(blob, dtype=object),
             "gsize": pd.Series(gsize, dtype=np.int64),
-        }))
+        })
 
-    grouped = (
-        sigs.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-        .materialize()
-    )
+    grouped = by_key(
+        (sigs.map_batches(tag, batch_format="pyarrow"), lambda t: t.column("_ghash").to_numpy() % n_parts),
+        per_part,
+    ).materialize()
     if grouped.count() == 0:
         return None
     return grouped
@@ -1667,66 +1482,6 @@ def _split_collapsed(grouped: ray.data.Dataset, id_col: str):
     )
 
 
-def _attach_packed(
-    pairs: ray.data.Dataset,
-    pair_cols,  # list[(name, pa.DataType)] — pairs' current columns
-    key_col: str,
-    blobs: ray.data.Dataset,  # (id_col, blob binary)
-    id_col: str,
-    out_col: str,
-    num_buckets: int,
-) -> ray.data.Dataset:
-    """LEFT-attach a pre-packed binary column to pair rows keyed on
-    ``key_col`` — the ``_attach_blobs`` co-partitioned union-merge pattern
-    (never ``Dataset.join`` — invariant 7), with two differences: the blob
-    side arrives already packed, and keys with no blob row keep ``b""``
-    (left semantics — singleton groups have no member-list row)."""
-    names = [n for n, _ in pair_cols]
-    key_type = dict(pair_cols)[key_col]
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        n = len(t)
-        cols = {
-            name: pc.cast(t.column(name).combine_chunks(), typ) for name, typ in pair_cols
-        }
-        cols[out_col] = pa.array([None] * n, pa.binary())
-        cols["_is_sig"] = pa.array(np.zeros(n, dtype=np.int8), pa.int8())
-        cols["_bucket"] = pa.array(_bucket_array(cols[key_col], num_buckets), pa.int64())
-        return pa.table(cols)
-
-    def tag_blobs(t: pa.Table) -> pa.Table:
-        key_arr = pc.cast(t.column(id_col).combine_chunks(), key_type)
-        n = len(t)
-        cols = {}
-        for name, typ in pair_cols:
-            # typed DUMMIES for non-key pair columns (not nulls — a null in
-            # an int64 column makes the pandas merge promote to float64)
-            if name == key_col:
-                cols[name] = key_arr
-            elif pa.types.is_binary(typ):
-                cols[name] = pa.array([b""] * n, typ)
-            elif pa.types.is_floating(typ):
-                cols[name] = pa.array(np.zeros(n, dtype=np.float64), typ)
-            else:
-                cols[name] = pc.cast(key_arr, typ)
-        cols[out_col] = t.column("blob").combine_chunks()
-        cols["_is_sig"] = pa.array(np.ones(n, dtype=np.int8), pa.int8())
-        cols["_bucket"] = pa.array(_bucket_array(key_arr, num_buckets), pa.int64())
-        return pa.table(cols)
-
-    def merge(g: pd.DataFrame):
-        sig = g[g["_is_sig"] == 1][[key_col, out_col]]
-        prs = g[g["_is_sig"] == 0][names]
-        m = prs.merge(sig, on=key_col, how="left")
-        m[out_col] = m[out_col].where(m[out_col].notna(), b"")
-        return from_pandas_clean(m)
-
-    tagged = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        blobs.map_batches(tag_blobs, batch_format="pyarrow")
-    )
-    return tagged.groupby("_bucket").map_groups(merge, batch_format="pandas")
-
-
 # above this many TOTAL duplicated-group member ids, rep-pair expansion stops
 # broadcasting the member map and switches to the co-partitioned attach plan
 _EXPAND_BROADCAST_LIMIT = 2_000_000
@@ -1750,7 +1505,7 @@ def _expand_rep_pairs(
     once and closure-captured (Ray ships large UDF closures through the
     object store and each worker process deserializes once), making expansion a
     shuffle-free ``map_batches``; past the limit it falls back to two
-    co-partitioned bucket attaches (``_attach_packed``) that never hold the
+    co-partitioned bucket attaches (``_attach_blobs``) that never hold the
     map in one process."""
 
     def cross(o_a, o_b, o_j, mem_a, mem_b, j):
@@ -1791,9 +1546,10 @@ def _expand_rep_pairs(
         return rep_pairs.map_batches(expand_bcast, batch_format="pyarrow")
 
     pair_cols = [("id_a", id_type), ("id_b", id_type), ("jaccard", pa.float64())]
-    with_a = _attach_packed(rep_pairs, pair_cols, "id_a", members, id_col, "_mem_a", n_parts)
-    with_b = _attach_packed(
-        with_a, pair_cols + [("_mem_a", pa.binary())], "id_b", members, id_col, "_mem_b", n_parts
+    with_a = _attach_blobs(rep_pairs, pair_cols, "id_a", members, id_col, "_mem_a", n_parts, "left")
+    with_b = _attach_blobs(
+        with_a, pair_cols + [("_mem_a", pa.binary())], "id_b", members, id_col, "_mem_b", n_parts,
+        "left",
     )
 
     def expand(batch: pa.Table) -> pa.Table:
@@ -1983,11 +1739,6 @@ def _exact_jaccard_from_postings(
     pairs vectorized. Emissions are deliberately NOT deduped: the count
     per pair IS |A∩B|."""
 
-    def tag_gram(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part", pa.array(_bucket_array(t.column("bucket").combine_chunks(), n_parts), pa.int64())
-        )
-
     def part_emit(part: pd.DataFrame) -> pd.DataFrame:
         part = part.drop_duplicates(["bucket", id_col]).sort_values(["bucket", id_col])
         buckets_arr = part["bucket"].to_numpy()
@@ -2016,24 +1767,15 @@ def _exact_jaccard_from_postings(
         if not o_a:
             empty = part[id_col].iloc[:0]
             ei = pd.Series([], dtype=np.int64)
-            return from_pandas_clean(pd.DataFrame({"id_a": empty, "id_b": empty, "m_a": ei, "m_b": ei}))
-        return from_pandas_clean(pd.DataFrame({
+            return pd.DataFrame({"id_a": empty, "id_b": empty, "m_a": ei, "m_b": ei})
+        return pd.DataFrame({
             "id_a": np.concatenate(o_a),
             "id_b": np.concatenate(o_b),
             "m_a": np.concatenate(o_ma),
             "m_b": np.concatenate(o_mb),
-        }))
+        })
 
-    emissions = (
-        postings.map_batches(tag_gram, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(part_emit, batch_format="pandas")
-    )
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_part2", pa.array(_pair_part_array(batch, "id_a", "id_b", n_parts), pa.int64())
-        )
+    emissions = by_key((postings, "bucket"), part_emit, n_parts)
 
     def count_pairs(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["id_a", "id_b", "m_a", "m_b"], as_index=False).size()
@@ -2042,17 +1784,13 @@ def _exact_jaccard_from_postings(
         mb = agg["m_b"].to_numpy(dtype=np.float64)
         j = c / np.maximum(ma + mb - c, 1.0)
         keep = j >= threshold
-        return from_pandas_clean(pd.DataFrame({
+        return pd.DataFrame({
             "id_a": agg["id_a"].values[keep],
             "id_b": agg["id_b"].values[keep],
             "jaccard": round_half_away(j[keep], 6),
-        }))
+        })
 
-    return (
-        emissions.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part2")
-        .map_groups(count_pairs, batch_format="pandas")
-    )
+    return by_key((emissions, ("id_a", "id_b")), count_pairs, n_parts)
 
 
 def substring_dedup(
@@ -2087,10 +1825,6 @@ def substring_dedup(
     SQL oracle's ``doc_id*1000000+start`` encoding matches for docs under
     one million tokens.
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def windows(batch: pa.Table) -> pa.Table:
         o_h: List[int] = []
         o_id: List = []
@@ -2106,56 +1840,22 @@ def substring_dedup(
             "start": pa.array(o_st, pa.int64()),
         })
 
-    def tag_w(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part", pa.array(_bucket_array(t.column("whash").combine_chunks(), n_parts), pa.int64())
-        )
-
     def emit_removals(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["whash", id_col, "start"])
         h = g["whash"].to_numpy()
         dup = np.zeros(len(g), dtype=bool)
         if len(g):
             dup[1:] = h[1:] == h[:-1]  # every row after its run head
-        return from_pandas_clean(g.loc[dup, [id_col, "start"]])
+        return g.loc[dup, [id_col, "start"]]
 
-    removals = (
-        ds.map_batches(windows, batch_format="pyarrow", batch_size=1024)
-        .map_batches(tag_w, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(emit_removals, batch_format="pandas")
-    )
-
-    id_type = None
-
-    def tag_docs(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).combine_chunks()
-        return pa.table({
-            id_col: ids,
-            text_col: pc.cast(t.column(text_col), pa.string()),
-            "start": pa.array(np.full(len(t), -1, dtype=np.int64), pa.int64()),
-            "_bucket": pa.array(_bucket_array(ids, n_parts), pa.int64()),
-        })
-
-    docs_tagged = ds.select_columns([id_col, text_col]).map_batches(
-        tag_docs, batch_format="pyarrow"
-    )
-    # capture the doc id type for the removal side (empty removal partitions
-    # would otherwise carry a pandas-inferred type — invariant 12)
+    removals = by_key(
+        (ds.map_batches(windows, batch_format="pyarrow", batch_size=1024), "whash"), emit_removals)
+    # both sides carry the doc id type (empty removal partitions would
+    # otherwise carry a pandas-inferred type — invariant 12)
     id_type = _schema_field_type(ds, id_col) or pa.int64()
 
-    def tag_removals(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t.column(id_col).combine_chunks(), id_type)
-        return pa.table({
-            id_col: ids,
-            text_col: pa.array([""] * len(t), pa.string()),
-            "start": pc.cast(t.column("start"), pa.int64()),
-            "_bucket": pa.array(_bucket_array(ids, n_parts), pa.int64()),
-        })
-
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        doc_rows = g[g["start"] < 0]
-        ranges = g[g["start"] >= 0]
+    def rebuild(g: dict) -> pd.DataFrame:
+        doc_rows, ranges = g["docs"], g["removals"]
         starts_by_doc = ranges.groupby(id_col)["start"].apply(list).to_dict()
         out_id, out_text, out_rm = [], [], []
         for did, t in zip(doc_rows[id_col], doc_rows[text_col]):
@@ -2174,17 +1874,17 @@ def substring_dedup(
             out_text.append(" ".join(kept))
         # every bucket holds ≥1 doc row (removals hash on the same id with
         # the same fn), so the output is never an empty/untyped frame
-        return from_pandas_clean(pd.DataFrame({
+        return pd.DataFrame({
             id_col: pd.Series(out_id, dtype=doc_rows[id_col].dtype),
             text_col: pd.Series(out_text, dtype=object),
             "n_removed": pd.Series(out_rm, dtype="int64"),
-        }))
+        })
 
-    return (
-        docs_tagged.union(removals.map_batches(tag_removals, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(rebuild, batch_format="pandas")
-    )
+    return by_key({
+        "docs": (ds.select_columns([id_col, text_col]), id_col,
+                 pa.schema([(id_col, id_type), (text_col, pa.string())])),
+        "removals": (removals, id_col, pa.schema([(id_col, id_type), ("start", pa.int64())])),
+    }, rebuild)
 
 
 def embedding_pairs_bruteforce(
@@ -2348,11 +2048,6 @@ def embedding_dup_pairs(
     # probe fan-out), so the scan is a FEW-PARTITION hash shuffle with all
     # buckets of a partition processed in one vectorized pass (invariant 9)
     # — never a per-distinct-bucket map_groups
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    n_parts = default_num_partitions()
-
     def part_pairs(g: pd.DataFrame):
         outs = [bucket_pairs(sub) for _, sub in g.groupby("bucket", sort=False)]
         tabs = [t for t in outs if t.num_rows]
@@ -2364,32 +2059,15 @@ def embedding_dup_pairs(
             })
         return pa.concat_tables(tabs)
 
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(_key_part_tag("bucket", n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(part_pairs, batch_format="pandas")
-    )
+    pairs = by_key((ds.map_batches(bucketize, batch_format="pyarrow"), "bucket"), part_pairs)
 
     # global pair dedup (a pair co-buckets in several probed buckets): the
     # few-partition shuffle + vectorized max pattern (invariant 9) — NOT a
     # per-distinct-pair Max aggregate (~65 µs/key, and the distinct-key count
     # here IS the pair count, which explodes exactly on duplication-heavy
     # corpora, the op's whole target).
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part2", pa.array(_pair_part_array(t, "id_a", "id_b", n_parts), pa.int64())
-        )
-
-    def max_part(g: pd.DataFrame):
-        return from_pandas_clean(
-            g.groupby(["id_a", "id_b"], as_index=False)["cosine"].max()
-        )
-
-    return pairs.map_batches(tag_pair, batch_format="pyarrow").groupby("_part2").map_groups(
-        max_part, batch_format="pandas"
-    )
+    return by_key((pairs, ("id_a", "id_b")),
+                  lambda g: g.groupby(["id_a", "id_b"], as_index=False)["cosine"].max())
 
 
 def semantic_dedup(
@@ -2484,7 +2162,7 @@ def _keepbest_broadcast_labels(
     import ray as _ray
 
     from pdftext_ray.ops import cluster as _cluster
-    from pdftext_ray.ops import from_pandas_clean, probe
+    from pdftext_ray.ops import probe
 
     lab = _cluster.connected_components_local(pairs, "doc_a", "doc_b")
     # broadcast SORTED numpy arrays, not a dict: plasma reconstructs numpy
@@ -2507,7 +2185,6 @@ def _keepbest_broadcast_labels(
             "doc_id": ids,
             "n_tokens": pc.cast(pc.count_substring_regex(t.column(text_col), r"\S+"), pa.int64()),
             "cluster_id": pa.array(clus, pa.int64()),
-            "_part": pa.array(_bucket_array(pa.array(clus, pa.int64()), n_parts), pa.int64()),
         })
 
     tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
@@ -2523,22 +2200,22 @@ def _keepbest_broadcast_labels(
     def clustered(t: pa.Table) -> pa.Table:
         return t.filter(pc.not_equal(t.column("cluster_id"), -1))
 
-    def win(g: pd.DataFrame):
-        g = g.sort_values(["cluster_id", "n_tokens", "doc_id"], ascending=[True, False, True])
-        sizes = g.groupby("cluster_id", sort=False)["doc_id"].transform("size")
-        first = ~g["cluster_id"].duplicated()
-        return from_pandas_clean(pd.DataFrame({
-            "doc_id": g.loc[first, "doc_id"].astype(np.int64),
-            "n_tokens": g.loc[first, "n_tokens"].astype(np.int64),
-            "n_dups": sizes[first].astype(np.int64),
-        }))
-
-    winners = (
-        tagged.map_batches(clustered, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(win, batch_format="pandas")
-    )
+    winners = by_key((tagged.map_batches(clustered, batch_format="pyarrow"), "cluster_id"),
+                     _cluster_winners, n_parts)
     return tagged.map_batches(singles, batch_format="pyarrow").union(winners)
+
+
+def _cluster_winners(g: pd.DataFrame) -> pd.DataFrame:
+    """Per-cluster argmax of a part: the longest doc (ties → lowest id)
+    with its cluster's size as ``n_dups``."""
+    g = g.sort_values(["cluster_id", "n_tokens", "doc_id"], ascending=[True, False, True])
+    sizes = g.groupby("cluster_id", sort=False)["doc_id"].transform("size")
+    first = ~g["cluster_id"].duplicated()
+    return pd.DataFrame({
+        "doc_id": g.loc[first, "doc_id"].astype(np.int64),
+        "n_tokens": g.loc[first, "n_tokens"].astype(np.int64),
+        "n_dups": sizes[first].astype(np.int64),
+    })
 
 
 def fuzzy_dedup_keepbest(
@@ -2589,47 +2266,31 @@ def fuzzy_dedup_keepbest(
 
     labels = _cluster.connected_components_distributed(pairs, "doc_a", "doc_b")
 
-    def tag_len(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t.column(id_col).combine_chunks(), pa.int64())
+    def lengths(t: pa.Table) -> pa.Table:
         return pa.table({
-            "doc_id": ids,
-            "n_tokens": pc.cast(pc.count_substring_regex(t.column(text_col), r"\S+"), pa.int64()),
-            "cluster_id": pa.array(np.full(len(t), -1, dtype=np.int64), pa.int64()),
-            "_is_lab": pa.array(np.zeros(len(t), dtype=np.int8), pa.int8()),
-            "_bucket": pa.array(_bucket_array(ids, n_parts), pa.int64()),
+            "doc_id": t.column(id_col),
+            "n_tokens": pc.count_substring_regex(t.column(text_col), r"\S+"),
         })
 
-    def tag_lab(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t.column("doc_id").combine_chunks(), pa.int64())
-        return pa.table({
-            "doc_id": ids,
-            "n_tokens": pa.array(np.zeros(len(t), dtype=np.int64), pa.int64()),
-            "cluster_id": pc.cast(t.column("cluster_id").combine_chunks(), pa.int64()),
-            "_is_lab": pa.array(np.ones(len(t), dtype=np.int8), pa.int8()),
-            "_bucket": pa.array(_bucket_array(ids, n_parts), pa.int64()),
-        })
-
-    def merge(g: pd.DataFrame):
-        lens = g[g["_is_lab"] == 0][["doc_id", "n_tokens"]]
-        labs = g[g["_is_lab"] == 1].drop_duplicates("doc_id").set_index("doc_id")["cluster_id"]
+    def merge(g: dict):
+        lens = g["docs"]
+        labs = g["labels"].drop_duplicates("doc_id").set_index("doc_id")["cluster_id"]
         # hit-substitution, not a left merge + fillna: a NaN-bearing merge
         # column is float64 and corrupts cluster ids past 2^53
         cl = np.full(len(lens), -1, dtype=np.int64)
         hit = lens["doc_id"].isin(labs.index).to_numpy()
         if hit.any():
             cl[hit] = labs.loc[lens["doc_id"].iloc[hit]].to_numpy()
-        m = pd.DataFrame({"doc_id": lens["doc_id"].values,
-                          "n_tokens": lens["n_tokens"].values,
-                          "cluster_id": cl})
-        return from_pandas_clean(m)
+        return pd.DataFrame({"doc_id": lens["doc_id"].values,
+                             "n_tokens": lens["n_tokens"].values,
+                             "cluster_id": cl})
 
-    merged = (
-        ds.map_batches(tag_len, batch_format="pyarrow")
-        .union(labels.map_batches(tag_lab, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
-        .materialize()  # narrow (24 B/doc); consumed by both branches below
-    )
+    i64 = pa.int64()
+    merged = by_key({
+        "docs": (ds.map_batches(lengths, batch_format="pyarrow"), "doc_id",
+                 pa.schema([("doc_id", i64), ("n_tokens", i64)])),
+        "labels": (labels, "doc_id", pa.schema([("doc_id", i64), ("cluster_id", i64)])),
+    }, merge, n_parts).materialize()  # narrow (24 B/doc); consumed by both branches below
 
     def singles(t: pa.Table) -> pa.Table:
         k = t.filter(pc.equal(t.column("cluster_id"), -1))
@@ -2645,23 +2306,8 @@ def fuzzy_dedup_keepbest(
             "doc_id": pc.cast(k.column("doc_id"), pa.int64()),
             "n_tokens": pc.cast(k.column("n_tokens"), pa.int64()),
             "cluster_id": pc.cast(k.column("cluster_id"), pa.int64()),
-            "_part": pa.array(_bucket_array(pc.cast(k.column("cluster_id"), pa.int64()).combine_chunks(), n_parts), pa.int64()),
         })
 
-    def win(g: pd.DataFrame):
-        g = g.sort_values(["cluster_id", "n_tokens", "doc_id"], ascending=[True, False, True])
-        sizes = g.groupby("cluster_id", sort=False)["doc_id"].transform("size")
-        first = ~g["cluster_id"].duplicated()
-        out = pd.DataFrame({
-            "doc_id": g.loc[first, "doc_id"].astype(np.int64),
-            "n_tokens": g.loc[first, "n_tokens"].astype(np.int64),
-            "n_dups": sizes[first].astype(np.int64),
-        })
-        return from_pandas_clean(out)
-
-    winners = (
-        merged.map_batches(clustered, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(win, batch_format="pandas")
-    )
+    winners = by_key((merged.map_batches(clustered, batch_format="pyarrow"), "cluster_id"),
+                     _cluster_winners, n_parts)
     return merged.map_batches(singles, batch_format="pyarrow").union(winners)

@@ -44,10 +44,7 @@ def _dedup_edges_with_outdeg(
     shuffle on src: equal pairs co-locate (they share src), so per-partition
     drop_duplicates is globally exact, and the out-degree is computable in
     the same pass (src's edges are all present)."""
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    n_parts = default_num_partitions()
+    from pdftext_ray.ops.exchange import by_key
 
     def local(t: pa.Table) -> pa.Table:
         df = t.select([src, dst]).to_pandas().drop_duplicates()
@@ -56,14 +53,9 @@ def _dedup_edges_with_outdeg(
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g[[src, dst]].drop_duplicates()
         g["outdeg"] = g.groupby(src)[dst].transform("size").astype("int64")
-        return from_pandas_clean(g)
+        return g
 
-    return (
-        edges.map_batches(local, batch_format="pyarrow")
-        .map_batches(_key_part_tag(src, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((edges.map_batches(local, batch_format="pyarrow"), src), per_part)
 
 
 def pagerank(
@@ -215,94 +207,51 @@ def _pagerank_dataset(
 ) -> ray.data.Dataset:
     """Dataset-resident power iteration: ranks live in a Dataset keyed by
     hash(node); the driver never holds more than one scalar (the dangling
-    mass). Per iteration, two few-partition co-partitioned exchanges
-    (tagged-union + map_groups, the _attach_blobs pattern — robust to empty
-    partitions where Acero join is not):
+    mass). Per iteration, two two-sided ``exchange.by_key`` passes (robust
+    to empty partitions where Acero join is not):
 
-      1. edges(_p=h(src)) ∪ ranks(_p=h(node)) → per-partition rank lookup,
+      1. edges by h(src) with ranks by h(node) → per-partition rank lookup,
          contrib = rank[src] // outdeg, locally pre-summed by dst
          (combiner: emission is ≤ #distinct-dst-per-partition, not #edges).
-      2. contrib partials(_p2=h(dst)) ∪ node rows(_p2=h(node)) → exact S per
+      2. contrib partials by h(dst) with node rows by h(node) → exact S per
          node, rank' = base + d·(S + dd)//100 for EVERY node (no-inbound
          nodes get S=0).
 
     All arithmetic is the same int64 fixed point as the driver plan, so the
     two plans are bit-identical (integer sums commute)."""
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.dedup import _bucket_array
+    from pdftext_ray.ops.exchange import by_key
 
-    n_parts = default_num_partitions()
     base = (100 - damping_pct) * scale // (100 * n)
     r0 = scale // n
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        a = pc.cast(t.column(src).combine_chunks(), pa.int64())
-        return pa.table({
-            "_p": pa.array(_bucket_array(a, n_parts), pa.int64()),
-            "_is_rank": pa.array(np.zeros(len(t), np.int8), pa.int8()),
-            "a": a,
-            "b": pc.cast(t.column(dst).combine_chunks(), pa.int64()),
-            "v": pc.cast(t.column("outdeg").combine_chunks(), pa.int64()),
-        })
-
-    edges_tagged = deduped.map_batches(tag_edges, batch_format="pyarrow").materialize()
+    i64 = pa.int64()
+    edge_schema = pa.schema([(src, i64), (dst, i64), ("outdeg", i64)])
+    rank_schema = pa.schema([("node", i64), ("outdeg", i64), ("rank_fp", i64)])
+    contrib_schema = pa.schema([("node", i64), ("s", i64)])
 
     def init_ranks(t: pa.Table) -> pa.Table:
-        node = pc.cast(t.column("node").combine_chunks(), pa.int64())
         return pa.table({
-            "node": node,
-            "outdeg": pc.cast(t.column("outdeg").combine_chunks(), pa.int64()),
-            "rank_fp": pa.array(np.full(len(t), r0, np.int64), pa.int64()),
-            "_p": pa.array(_bucket_array(node, n_parts), pa.int64()),
+            "node": pc.cast(t.column("node").combine_chunks(), i64),
+            "outdeg": pc.cast(t.column("outdeg").combine_chunks(), i64),
+            "rank_fp": pa.array(np.full(len(t), r0, np.int64), i64),
         })
 
     ranks = nodes_ds.map_batches(init_ranks, batch_format="pyarrow").materialize()
 
-    def rank_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "_p": t.column("_p").combine_chunks(),
-            "_is_rank": pa.array(np.ones(len(t), np.int8), pa.int8()),
-            "a": t.column("node").combine_chunks(),
-            "b": pa.array(np.zeros(len(t), np.int64), pa.int64()),
-            "v": t.column("rank_fp").combine_chunks(),
-        })
-
-    def contrib_part(g: pd.DataFrame):
-        rk = g[g["_is_rank"] == 1]
-        eg = g[g["_is_rank"] == 0]
+    def contrib_part(g: dict):
+        rk, eg = g["ranks"], g["edges"]
         if not len(eg) or not len(rk):
-            return from_pandas_clean(pd.DataFrame({
-                "node": pd.Series([], dtype="int64"),
-                "s": pd.Series([], dtype="int64"),
-            }))
-        ra = rk["a"].to_numpy(np.int64)
-        rv = rk["v"].to_numpy(np.int64)
+            return contrib_schema.empty_table()
+        ra = rk["node"].to_numpy(np.int64)
+        rv = rk["rank_fp"].to_numpy(np.int64)
         o = np.argsort(ra)
         ra, rv = ra[o], rv[o]
-        c = rv[np.searchsorted(ra, eg["a"].to_numpy(np.int64))] // eg["v"].to_numpy(np.int64)
+        c = rv[np.searchsorted(ra, eg[src].to_numpy(np.int64))] // eg["outdeg"].to_numpy(np.int64)
         out = (
-            pd.DataFrame({"node": eg["b"].to_numpy(np.int64), "s": c})
+            pd.DataFrame({"node": eg[dst].to_numpy(np.int64), "s": c})
             .groupby("node", as_index=False)["s"].sum()
         )
         out["s"] = out["s"].astype("int64")
-        return from_pandas_clean(out)
-
-    def tag_contribs(t: pa.Table) -> pa.Table:
-        node = pc.cast(t.column("node").combine_chunks(), pa.int64())
-        return pa.table({
-            "_p2": pa.array(_bucket_array(node, n_parts), pa.int64()),
-            "_is_node": pa.array(np.zeros(len(t), np.int8), pa.int8()),
-            "node": node,
-            "v": pc.cast(t.column("s").combine_chunks(), pa.int64()),
-        })
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "_p2": t.column("_p").combine_chunks(),
-            "_is_node": pa.array(np.ones(len(t), np.int8), pa.int8()),
-            "node": t.column("node").combine_chunks(),
-            "v": t.column("outdeg").combine_chunks(),
-        })
+        return out
 
     for _ in range(n_iter):
         def dang_partial(t: pa.Table) -> pa.Table:
@@ -312,43 +261,32 @@ def _pagerank_dataset(
 
         dd = int(ranks.map_batches(dang_partial, batch_format="pyarrow").sum("s")) // n
 
-        def new_ranks(g: pd.DataFrame, dd=dd):
-            nd = g[g["_is_node"] == 1]
-            cb = g[g["_is_node"] == 0]
+        def new_ranks(g: dict, dd=dd):
+            nd, cb = g["nodes"], g["contribs"]
             if not len(nd):
-                return from_pandas_clean(pd.DataFrame({
-                    "node": pd.Series([], dtype="int64"),
-                    "outdeg": pd.Series([], dtype="int64"),
-                    "rank_fp": pd.Series([], dtype="int64"),
-                    "_p": pd.Series([], dtype="int64"),
-                }))
+                return rank_schema.empty_table()
             nids = nd["node"].to_numpy(np.int64)
             o = np.argsort(nids)
             nids = nids[o]
             s_vec = np.zeros(len(nids), np.int64)
             if len(cb):
-                csum = cb.groupby("node", as_index=False)["v"].sum()
+                csum = cb.groupby("node", as_index=False)["s"].sum()
                 pos = np.searchsorted(nids, csum["node"].to_numpy(np.int64))
-                s_vec[pos] = csum["v"].to_numpy(np.int64)
-            return from_pandas_clean(pd.DataFrame({
+                s_vec[pos] = csum["s"].to_numpy(np.int64)
+            return pd.DataFrame({
                 "node": nids,
-                "outdeg": nd["v"].to_numpy(np.int64)[o],
+                "outdeg": nd["outdeg"].to_numpy(np.int64)[o],
                 "rank_fp": (base + damping_pct * (s_vec + dd) // 100).astype(np.int64),
-                "_p": nd["_p2"].to_numpy(np.int64)[o],
-            }))
+            })
 
-        contribs = (
-            edges_tagged.union(ranks.map_batches(rank_rows, batch_format="pyarrow"))
-            .groupby("_p")
-            .map_groups(contrib_part, batch_format="pandas")
+        contribs = by_key(
+            {"edges": (deduped, src, edge_schema), "ranks": (ranks, "node", rank_schema)},
+            contrib_part,
         )
-        ranks = (
-            contribs.map_batches(tag_contribs, batch_format="pyarrow")
-            .union(ranks.map_batches(node_rows, batch_format="pyarrow"))
-            .groupby("_p2")
-            .map_groups(new_ranks, batch_format="pandas")
-            .materialize()
-        )
+        ranks = by_key(
+            {"contribs": (contribs, "node", contrib_schema), "nodes": (ranks, "node", rank_schema)},
+            new_ranks,
+        ).materialize()
 
     def finish(t: pa.Table) -> pa.Table:
         r = t.column("rank_fp").to_numpy(zero_copy_only=False)

@@ -8,11 +8,10 @@ guide:
 * **broadcast join** — small side shipped ONCE via ``ray.put`` and merged
   per batch inside ``map_batches``; zero shuffle. Right whenever one side
   fits in a worker's heap (dimension tables, vocabularies, blocklists).
-* **partitioned hash join** — both sides large: add ``bucket = hash(key) % B``
-  to each side, ``groupby(bucket)`` and join bucket-pairs inside
-  ``map_groups``. One shuffle per side, keyed by the SAME bucket column (pick
-  one partitioning key and reuse it). Salt hot keys into sub-buckets when a
-  single key exceeds a worker's memory.
+* **partitioned hash join** — both sides large: a two-sided
+  ``exchange.by_key`` co-partitions them on ``hash(key) % B`` and joins
+  bucket-pairs per part. Salt hot keys into sub-buckets when a single key
+  exceeds a worker's memory.
 * **as-of join** — sort-within-bucket + ``pd.merge_asof`` per key group
   (backward: greatest right.ts ≤ left.ts), the streaming-log lookup pattern.
 """
@@ -28,7 +27,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from pdftext_ray.ops import from_pandas_clean
+from pdftext_ray.ops import from_pandas_clean, probe
+from pdftext_ray.ops.exchange import _bucket_array, by_key
 
 
 def broadcast_join(
@@ -145,21 +145,6 @@ def _arrow_types(ds: ray.data.Dataset) -> dict:
     return out
 
 
-def _typed_dummies(n: int, typ: pa.DataType) -> pa.Array:
-    """Typed dummy column for the union side that doesn't carry it — NOT
-    nulls: a null in an int64 column makes the pandas merge stage promote
-    it to float64, corrupting dtypes downstream (ops/dedup._attach_blobs
-    found this the hard way). Dummies are filtered out by the side flag
-    before the merge reads them."""
-    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-        return pa.array([""] * n, typ)
-    if pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
-        return pa.array([b""] * n, typ)
-    if pa.types.is_timestamp(typ):
-        return pa.array(np.zeros(n, dtype="datetime64[us]"), typ)
-    return pc.cast(pa.array(np.zeros(n, dtype=np.int64)), typ)
-
-
 def salted_hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -186,10 +171,10 @@ def salted_hash_join(
     3. Right hot rows are REPLICATED S times (one per salt), so every
        (key, salt) sub-bucket holds the full right payload for its key;
        cold rows ship once.
-    4. Both sides union over a COMMON typed schema and merge per
-       hash(key)·S+salt bucket with one vectorized ``pd.merge`` — the
-       empty-robust co-partitioned plan (see ops/dedup._attach_blobs for
-       why not Acero ``Dataset.join``).
+    4. Both sides meet per hash(key)·S+salt bucket in one two-sided
+       ``exchange.by_key`` and merge with one vectorized ``pd.merge`` —
+       the empty-robust co-partitioned plan (Acero ``Dataset.join`` builds
+       column-less tables for empty partitions).
 
     The result equals the unsalted inner join exactly; only the partition
     layout changes. ``salt_col`` must be a left column with high
@@ -198,7 +183,6 @@ def salted_hash_join(
     import pyarrow.compute as pc
 
     from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.dedup import _bucket_array
     from pdftext_ray.ops.relational import hash_grouped_agg
 
     if how not in ("inner", "left"):
@@ -242,55 +226,34 @@ def salted_hash_join(
     out_right_cols = [c for c in right_cols if c != right_key]
     all_cols = [(c, ltypes[c]) for c in left_cols] + [(c, rtypes[c]) for c in out_right_cols]
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        hotk = ray.get(hot_ref)
-        keys = t.column(left_key).to_numpy(zero_copy_only=False).astype(np.int64)
-        sidx = np.searchsorted(hotk, keys)
-        is_hot = (sidx < len(hotk)) & (hotk[np.minimum(sidx, max(len(hotk) - 1, 0))] == keys) if len(hotk) else np.zeros(len(keys), bool)
-        sv = t.column(salt_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = np.where(is_hot, (sv.astype(np.uint64) * _BLOOM_P1 >> np.uint64(32)).astype(np.int64) % num_salts, 0)
-        cols = {c: t.column(c) for c in left_cols}
-        for c, typ in all_cols:
-            if c not in left_cols:
-                cols[c] = _typed_dummies(len(t), typ)
-        cols["_salt"] = pa.array(salt, pa.int64())
-        cols["_is_right"] = pa.array(np.zeros(len(t), np.int8), pa.int8())
-        key_arr = pa.array(keys, pa.int64())
-        cols["_jkey"] = key_arr
-        cols["_bucket"] = pa.array(
-            (_bucket_array(key_arr, num_buckets) * num_salts + salt), pa.int64()
-        )
-        return pa.table(cols)
+    def is_hot(keys: np.ndarray) -> np.ndarray:
+        return probe.member_sorted(keys, ray.get(hot_ref))
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        hotk = ray.get(hot_ref)
+    def salt_left(t: pa.Table) -> pa.Table:
+        keys = t.column(left_key).to_numpy(zero_copy_only=False).astype(np.int64)
+        sv = t.column(salt_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        salt = np.where(is_hot(keys), (sv.astype(np.uint64) * _BLOOM_P1 >> np.uint64(32)).astype(np.int64) % num_salts, 0)
+        return t.append_column("_salt", pa.array(salt, pa.int64()))
+
+    def salt_right(t: pa.Table) -> pa.Table:
         keys = t.column(right_key).to_numpy(zero_copy_only=False).astype(np.int64)
-        sidx = np.searchsorted(hotk, keys)
-        is_hot = (sidx < len(hotk)) & (hotk[np.minimum(sidx, max(len(hotk) - 1, 0))] == keys) if len(hotk) else np.zeros(len(keys), bool)
-        reps = np.where(is_hot, num_salts, 1).astype(np.int64)
+        reps = np.where(is_hot(keys), num_salts, 1).astype(np.int64)
         idx = np.repeat(np.arange(len(t)), reps)
         # salt sequence 0..reps-1 within each replicated row
         salt = (np.arange(len(idx)) - np.repeat(np.cumsum(reps) - reps, reps)).astype(np.int64)
-        rt = t.take(pa.array(idx))
-        cols = {}
-        for c, typ in all_cols:
-            cols[c] = rt.column(c) if c in out_right_cols else _typed_dummies(len(rt), typ)
-        cols["_salt"] = pa.array(salt, pa.int64())
-        cols["_is_right"] = pa.array(np.ones(len(rt), np.int8), pa.int8())
-        key_arr = pa.array(keys[idx], pa.int64())
-        cols["_jkey"] = key_arr
-        cols["_bucket"] = pa.array(
-            (_bucket_array(key_arr, num_buckets) * num_salts + salt), pa.int64()
-        )
-        return pa.table(cols)
+        return t.take(pa.array(idx)).append_column("_salt", pa.array(salt, pa.int64()))
 
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
+    def salted_part(key: str):
+        return lambda t: _bucket_array(t.column(key), num_buckets) * num_salts + np.asarray(t.column("_salt"))
 
-    def merge(g: pd.DataFrame):
-        lpart = g[g["_is_right"] == 0][[*left_cols, "_jkey", "_salt"]]
-        rpart = g[g["_is_right"] == 1][[*out_right_cols, "_jkey", "_salt"]]
-        out = lpart.merge(rpart, on=["_jkey", "_salt"], how=how)
+    def side_schema(cols, types, key):
+        # the join key is int64 on both sides, so its buckets agree
+        return pa.schema([(c, types[c]) for c in cols if c != key]
+                         + [(key, pa.int64()), ("_salt", pa.int64())])
+
+    def merge(g: dict):
+        out = g["left"].merge(g["right"], left_on=[left_key, "_salt"],
+                              right_on=[right_key, "_salt"], how=how)
         if how == "left":
             # unmatched rows: keep right INT columns int64-with-nulls, not
             # the float64 NaN promotion pandas defaults to
@@ -306,11 +269,12 @@ def salted_hash_join(
             names=[c for c, _ in all_cols],
         )
 
-    return (
-        lt.union(rt)
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return by_key({
+        "left": (left.map_batches(salt_left, batch_format="pyarrow"), salted_part(left_key),
+                 side_schema(left_cols, ltypes, left_key)),
+        "right": (right.map_batches(salt_right, batch_format="pyarrow"), salted_part(right_key),
+                  side_schema(out_right_cols, rtypes, right_key)),
+    }, merge)
 
 
 # Multiplicative double-hash constants for the DISTRIBUTED bloom filter —
@@ -467,18 +431,9 @@ def range_join_events(
     """
     import pyarrow.compute as pc
 
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    n_parts = default_num_partitions()
-
     def keep(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch.column("event_type"), value_set=pa.array([left_type, right_type]))
         return batch.filter(mask)
-
-    filtered = ds.map_batches(keep, batch_format="pyarrow").map_batches(
-        _key_part_tag(key, n_parts), batch_format="pyarrow"
-    )
 
     empty = pd.DataFrame(
         {
@@ -494,7 +449,7 @@ def range_join_events(
         lhs = group[group["event_type"] == left_type]
         rhs = group[group["event_type"] == right_type]
         if lhs.empty or rhs.empty:
-            return from_pandas_clean(empty)
+            return empty
         w_us = np.int64(window_sec) * 1_000_000
         lt = lhs[ts].to_numpy().astype("datetime64[us]").astype(np.int64)
         rt = rhs[ts].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -515,7 +470,7 @@ def range_join_events(
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
-            return from_pandas_clean(empty)
+            return empty
         l_idx = np.repeat(np.arange(len(lhs)), counts)
         r_idx = np.arange(total) - np.repeat(counts.cumsum() - counts, counts) + np.repeat(lo, counts)
         out = pd.DataFrame(
@@ -527,9 +482,9 @@ def range_join_events(
                 "matched_ts": r_ts[r_idx],
             }
         )
-        return from_pandas_clean(out)
+        return out
 
-    return filtered.groupby("_part").map_groups(per_part, batch_format="pandas")
+    return by_key((ds.map_batches(keep, batch_format="pyarrow"), key), per_part)
 
 
 def asof_join_events(
@@ -553,26 +508,17 @@ def asof_join_events(
     """
     import pyarrow.compute as pc
 
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.relational import _key_part_tag
-
-    n_parts = default_num_partitions()
-
     def keep(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch.column("event_type"), value_set=pa.array([left_type, right_type]))
         return batch.filter(mask)
-
-    filtered = ds.map_batches(keep, batch_format="pyarrow").map_batches(
-        _key_part_tag(key, n_parts), batch_format="pyarrow"
-    )
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
         lhs = group[group["event_type"] == left_type].sort_values(ts)
         rhs = group[group["event_type"] == right_type].sort_values(ts)
         if lhs.empty or rhs.empty:
-            return from_pandas_clean(pd.DataFrame(
+            return pd.DataFrame(
                 columns=["event_id", key, ts, "value", "matched_event_id", "matched_ts", "matched_value"]
-            ))
+            )
         merged = pd.merge_asof(
             lhs[["event_id", key, ts, "value"]],
             rhs[[key, "event_id", ts, "value"]].rename(
@@ -585,6 +531,6 @@ def asof_join_events(
         )
         merged = merged.dropna(subset=["matched_event_id"])
         merged["matched_event_id"] = merged["matched_event_id"].astype("int64")
-        return from_pandas_clean(merged)
+        return merged
 
-    return filtered.groupby("_part").map_groups(per_part, batch_format="pandas")
+    return by_key((ds.map_batches(keep, batch_format="pyarrow"), key), per_part)

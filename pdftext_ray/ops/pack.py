@@ -35,7 +35,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from pdftext_ray.ops import default_num_partitions, from_pandas_clean
+from pdftext_ray.ops import default_num_partitions
+from pdftext_ray.ops.exchange import by_key, part_totals
 
 
 def pack_sequences(
@@ -106,27 +107,17 @@ def pack_from_counts(
     def bucket_of(ids: np.ndarray) -> np.ndarray:
         return (ids - lo) * n_parts // span
 
-    def tag(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_rb", pa.array(bucket_of(ids), pa.int64()))
-
-    tagged = narrow.map_batches(tag, batch_format="pyarrow")
+    def range_part(t: pa.Table) -> np.ndarray:
+        return bucket_of(t.column("doc_id").to_numpy().astype(np.int64))
 
     # block sums → driver-side exclusive scan over the P bucket totals
-    totals = (
-        tagged.groupby("_rb")
-        .aggregate(ray.data.aggregate.Sum("n_tokens"))
-        .take_all()
-    )
-    per_bucket = {int(r["_rb"]): int(r["sum(n_tokens)"]) for r in totals}
-    base = np.zeros(n_parts + 1, dtype=np.int64)
-    for b in range(n_parts):
-        base[b + 1] = base[b] + per_bucket.get(b, 0)
+    base = np.concatenate([[0], np.cumsum(part_totals(narrow, range_part, n_parts, "n_tokens"))])
 
-    def place(g: pd.DataFrame) -> pa.Table:
+    def place(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
         n = g["n_tokens"].to_numpy(dtype=np.int64)
-        start = base[int(g["_rb"].iat[0])] + np.concatenate([[0], np.cumsum(n[:-1])])
+        part = bucket_of(g["doc_id"].to_numpy(dtype=np.int64)[:1])[0]
+        start = base[part] + np.concatenate([[0], np.cumsum(n[:-1])])
         seq_id = start // budget
         n_seqs = np.where(n > 0, (start + np.maximum(n, 1) - 1) // budget - seq_id + 1, 0)
         out = {
@@ -139,6 +130,6 @@ def pack_from_counts(
         }
         for c in extra_cols:
             out[c] = g[c].to_numpy()
-        return from_pandas_clean(pd.DataFrame(out))
+        return pd.DataFrame(out)
 
-    return tagged.groupby("_rb").map_groups(place, batch_format="pandas")
+    return by_key((narrow, range_part), place)

@@ -22,23 +22,35 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray
+from ray.data.block import BlockAccessor
+
+
+def _arrow_blocks(blocks) -> list:
+    """Non-empty blocks as Arrow tables. Zero-row blocks go first: Ray can
+    emit column-less empty blocks whose blank schema has none of the key
+    columns (invariant 12); a pandas block converts here."""
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    return [t for t in tables if t.num_rows > 0]
 
 
 @ray.remote
-def _run(fn, sizes, *tables: pa.Table):
-    # drop zero-row blocks: Ray can emit column-less empty blocks whose
-    # blank schema has none of the key columns (invariant 12)
+def _run(fn, sizes, *blocks):
     groups, start = [], 0
     for n in sizes:
-        groups.append([t for t in tables[start:start + n] if t.num_rows > 0])
+        groups.append(_arrow_blocks(blocks[start:start + n]))
         start += n
     return fn(*groups)
 
 
+def _block_refs(ds: ray.data.Dataset) -> list:
+    # not to_arrow_refs: it asks for the schema with fetch_if_missing, which
+    # runs the dataset once more (limit 1) when its blocks carry no schema
+    # (an empty parquet part, a column-less empty block)
+    return [ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs]
+
+
 def _submit(fn, datasets):
-    # materialize first: to_arrow_refs on a lazy dataset runs it, then runs
-    # it again (limit 1) to learn its schema
-    refs = [ds.materialize().to_arrow_refs() for ds in datasets]
+    refs = [_block_refs(ds.materialize()) for ds in datasets]
     return _run.remote(fn, [len(r) for r in refs], *(ref for r in refs for ref in r))
 
 
@@ -96,5 +108,5 @@ def collect(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
     block has rows. Zero-row blocks are dropped first: Ray can emit
     column-less empty blocks that break ``pa.concat_tables`` (invariant
     12). For increment-sized tables only."""
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows > 0]
+    tabs = _arrow_blocks(ray.get(_block_refs(ds)))
     return pa.concat_tables(tabs) if tabs else schema.empty_table()

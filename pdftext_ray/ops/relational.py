@@ -15,6 +15,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from pdftext_ray.ops import from_pandas_clean, round_half_away
+from pdftext_ray.ops.exchange import by_key
 
 
 def lineitem_pricing_summary(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -353,41 +354,16 @@ def hash_grouped_agg(
     ``groupby().aggregate()`` partial-agg plan is equivalent and simpler.
     ``named_aggs``: {out_col: (in_col, fn)} pandas NamedAgg tuples.
     """
-    from pdftext_ray.ops import default_num_partitions
-
     keys = [keys] if isinstance(keys, str) else list(keys)
-    if n_parts is None:
-        n_parts = default_num_partitions()
 
     def per_part(g: pd.DataFrame):
         # dropna=False: a null key must form its own group (parity with the
         # Ray-native aggregate this replaces), not silently drop rows
-        return from_pandas_clean(g.groupby(keys, as_index=False, dropna=False).agg(**{
+        return g.groupby(keys, as_index=False, dropna=False).agg(**{
             out: pd.NamedAgg(column=col, aggfunc=fn) for out, (col, fn) in named_aggs.items()
-        }))
+        })
 
-    return (
-        ds.map_batches(_key_part_tag(keys[0], n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
-
-
-def _key_part_tag(key: str, n_parts: int):
-    """map_batches fn appending ``_part = hash(key) % n_parts`` (vectorized
-    int fast path via ops.dedup's bucket hash). The tagged block carries no
-    schema metadata: a pandas-produced block's metadata dict is unhashable
-    and defeats the shuffle's schema dedup (invariant 8)."""
-    import pyarrow as pa
-
-    from pdftext_ray.ops.dedup import _bucket_array
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part", pa.array(_bucket_array(t.column(key).combine_chunks(), n_parts), pa.int64())
-        ).replace_schema_metadata(None)
-
-    return tag
+    return by_key((ds, keys[0]), per_part, n_parts)
 
 
 def sessionize_events(
@@ -409,10 +385,6 @@ def sessionize_events(
 
     Output: user_id, session_start, n_events, sum_value, duration_sec.
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts]).reset_index(drop=True)
         # int64-cents sum (invariant 13): per-session float sums accumulate
@@ -439,13 +411,9 @@ def sessionize_events(
         agg["n_events"] = agg["n_events"].astype("int64")
         agg["sum_value"] = agg["sum_cents"].astype("int64") / 100.0
         agg = agg.rename(columns={"user": key})
-        return from_pandas_clean(agg[[key, "session_start", "n_events", "sum_value", "duration_sec"]])
+        return agg[[key, "session_start", "n_events", "sum_value", "duration_sec"]]
 
-    return (
-        ds.map_batches(_key_part_tag(key, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds, key), per_part)
 
 
 def events_window_functions(
@@ -473,10 +441,6 @@ def events_window_functions(
     Output: id, key, ts, value, row_num, prev_value, next_value,
     running_sum, moving_avg3.
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts, id_col]).reset_index(drop=True)
         grp = g.groupby(key, sort=False)
@@ -494,13 +458,9 @@ def events_window_functions(
         msum = cents + c1.fillna(0).to_numpy().astype(np.int64) + c2.fillna(0).to_numpy().astype(np.int64)
         g["moving_avg3"] = round_half_away(msum / (100.0 * cnt), 6)
         cols = [id_col, key, ts, value, "row_num", "prev_value", "next_value", "running_sum", "moving_avg3"]
-        return from_pandas_clean(g[cols])
+        return g[cols]
 
-    return (
-        ds.map_batches(_key_part_tag(key, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds, key), per_part)
 
 
 def grouped_topk(
@@ -514,23 +474,15 @@ def grouped_topk(
     row_number() pattern as one vectorized sort+head per hash partition
     (co-located groups; never a global sort, never a per-distinct-group
     map_groups)."""
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         out = g.sort_values(
             [group_col, value_col, id_col], ascending=[True, False, True]
         )
         out = out.groupby(group_col, as_index=False, sort=False).head(k).copy()
         out["rank"] = out.groupby(group_col, sort=False).cumcount() + 1
-        return from_pandas_clean(out.drop(columns=["_part"]))
+        return out
 
-    return (
-        ds.map_batches(_key_part_tag(group_col, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds, group_col), per_part)
 
 
 def user_journey_paths(
@@ -550,23 +502,15 @@ def user_journey_paths(
     key includes the row id so ties are deterministic on both sides.
     Output: key, n_steps, path.
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts, id_col])
         agg = g.groupby(key, sort=True).agg(
             n_steps=(step_col, "size"), path=(step_col, sep.join)
         )
         agg["n_steps"] = agg["n_steps"].astype("int64")
-        return from_pandas_clean(agg.reset_index()[[key, "n_steps", "path"]])
+        return agg.reset_index()[[key, "n_steps", "path"]]
 
-    return (
-        ds.map_batches(_key_part_tag(key, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds, key), per_part)
 
 
 def pivot_hourly_counts(
@@ -639,21 +583,12 @@ def upsert_latest(
     a per-distinct-key aggregate (~65 µs/key) and never a broadcast — both
     sides of the merge stream.
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        other = [c for c in g.columns if c not in (key, version_col, "_part")]
+        other = [c for c in g.columns if c not in (key, version_col)]
         g = g.sort_values([key, version_col, *other], ascending=False)
-        out = g.drop_duplicates(subset=[key], keep="first").drop(columns=["_part"])
-        return from_pandas_clean(out.sort_values(key))
+        return g.drop_duplicates(subset=[key], keep="first").sort_values(key)
 
-    return (
-        ds.map_batches(_key_part_tag(key, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds, key), per_part)
 
 
 def funnel_conversion(
@@ -676,10 +611,6 @@ def funnel_conversion(
     row driver-side. Output: n_entered, n_converted, conversion_rate
     (round 6; int/int division — SQL-identical).
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def project(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -692,24 +623,16 @@ def funnel_conversion(
         )
         entered = len(firsts)
         if entered == 0:
-            return from_pandas_clean(pd.DataFrame({"entered": [0], "converted": [0]}))
+            return pd.DataFrame({"entered": [0], "converted": [0]})
         second = g[g[type_col] == second_step].merge(
             firsts.rename("t0"), left_on=key, right_index=True
         )
         lim = second["t0"] + pd.Timedelta(hours=window_hours)
         ok = second[(second[ts] >= second["t0"]) & (second[ts] <= lim)]
         converted = ok[key].nunique()
-        return from_pandas_clean(
-            pd.DataFrame({"entered": [entered], "converted": [int(converted)]})
-        )
+        return pd.DataFrame({"entered": [entered], "converted": [int(converted)]})
 
-    parts = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .map_batches(_key_part_tag(key, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = by_key((ds.map_batches(project, batch_format="pyarrow"), key), per_part).to_pandas()
     n_entered = int(parts["entered"].sum())
     n_converted = int(parts["converted"].sum())
     rate = float(round_half_away(n_converted / max(n_entered, 1), 6))
@@ -739,10 +662,6 @@ def retention_cohorts(
 
     Output: cohort_day, day_offset, n_users.
     """
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g[[key, ts]].copy()
         g["day"] = g[ts].dt.floor("D")
@@ -755,14 +674,9 @@ def retention_cohorts(
             "day_offset": off[keep],
         }).groupby(["cohort_day", "day_offset"], as_index=False).size()
         out.columns = ["cohort_day", "day_offset", "n_users"]
-        return from_pandas_clean(out)
+        return out
 
-    parts = (
-        ds.map_batches(_key_part_tag(key, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
-    final = parts.groupby(["cohort_day", "day_offset"]).aggregate(
+    final = by_key((ds, key), per_part).groupby(["cohort_day", "day_offset"]).aggregate(
         Sum("n_users", alias_name="n_users")
     )
 
@@ -797,7 +711,6 @@ def sort_rank(
     ntile replicates SQL exactly: q = n // B rows per bucket, the first
     n % B buckets take one extra.
     """
-    from pdftext_ray.ops import default_num_partitions
     from pdftext_ray.ops.stats import _value_histogram
 
     hist = _value_histogram(ds.select_columns([id_col, value_col]), value_col, max_distinct)
@@ -810,7 +723,6 @@ def sort_rank(
         ahead = np.concatenate([[0], np.cumsum(counts)[:-1]])
     total = int(counts.sum()) if len(counts) else 0
     base_ref = ray.put((values, ahead.astype(np.int64)))
-    n_parts = default_num_partitions()
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         vals, bases = ray.get(base_ref)
@@ -827,14 +739,9 @@ def sort_rank(
             small = r + (rk0 - cut) // q + 1 if q else big
             g["bucket"] = np.where(rk0 < cut, big, small).astype("int64")
             out_cols.append("bucket")
-        return from_pandas_clean(g[out_cols])
+        return g[out_cols]
 
-    return (
-        ds.select_columns([id_col, value_col])
-        .map_batches(_key_part_tag(value_col, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds.select_columns([id_col, value_col]), value_col), per_part)
 
 
 def distinct_values(ds: ray.data.Dataset, column: str) -> ray.data.Dataset:
@@ -843,24 +750,12 @@ def distinct_values(ds: ray.data.Dataset, column: str) -> ray.data.Dataset:
     co-located shuffle → vectorized drop_duplicates per partition (a
     per-distinct-value aggregate pays ~65 µs/value — the whole job at
     high cardinality)."""
-    from pdftext_ray.ops import default_num_partitions
-
-    n_parts = default_num_partitions()
-
     def local(batch: pa.Table) -> pa.Table:
         col = batch.column(column).unique()
         return pa.Table.from_arrays([col], names=[column])
 
-    def per_part(g: pd.DataFrame):
-        return from_pandas_clean(g[[column]].drop_duplicates())
-
-    return (
-        ds.select_columns([column])
-        .map_batches(local, batch_format="pyarrow")
-        .map_batches(_key_part_tag(column, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    local_distinct = ds.select_columns([column]).map_batches(local, batch_format="pyarrow")
+    return by_key((local_distinct, column), lambda g: g[[column]].drop_duplicates())
 
 
 def filter_project_documents(ds: ray.data.Dataset, min_chars: int = 200) -> ray.data.Dataset:

@@ -288,39 +288,31 @@ def group_cap(
     """
     import pandas as pd
 
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-    from pdftext_ray.ops.dedup import _bucket_array
+    from pdftext_ray.ops.exchange import by_key
 
     if cap <= 0:
         raise ValueError(f"cap must be positive, got {cap}")
-    n_parts = default_num_partitions()
 
     def tag(t: pa.Table) -> pa.Table:
         col_k = t.column(key_col).combine_chunks()
-        col_g = t.column(group_col).combine_chunks()
         return pa.table({
             key_col: col_k,
-            group_col: col_g,
+            group_col: t.column(group_col).combine_chunks(),
             "_h": pa.array(_key_hash32(col_k, seed), pa.int64()),
-            "_part": pa.array(_bucket_array(col_g, n_parts), pa.int64()),
         })
 
     def head(g: pd.DataFrame):
         g = g.sort_values([group_col, "_h", key_col], kind="mergesort")
         r = g.groupby(group_col, sort=False).cumcount().to_numpy() + 1
         keep = r <= cap
-        return from_pandas_clean(pd.DataFrame({
+        return pd.DataFrame({
             key_col: g[key_col].to_numpy()[keep],
             group_col: g[group_col].to_numpy()[keep],
             "group_rank": r[keep].astype(np.int64),
-        }))
+        })
 
-    return (
-        ds.select_columns([key_col, group_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(head, batch_format="pandas")
-    )
+    tagged = ds.select_columns([key_col, group_col]).map_batches(tag, batch_format="pyarrow")
+    return by_key((tagged, group_col), head)
 
 
 def _key_hash32(col, seed: int) -> np.ndarray:
@@ -354,11 +346,13 @@ def shuffle_rank(
 
     Plan is the distributed-sort counting form: hash values are uniform, so
     RANGE-partitioning the 32-bit hash space gives balanced parts for free —
-    per-part counts (tiny aggregate) → driver exclusive scan → one P-key
+    per-part counts (per-block bincounts summed on the driver, no
+    exchange) → driver exclusive scan → one P-key
     shuffle and a vectorized per-part argsort. Only (key, h) pairs move.
     Output: (key_col, shuffle_rank), both int64/original type.
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
+    from pdftext_ray.ops import default_num_partitions
+    from pdftext_ray.ops.exchange import by_key, part_totals
 
     keys = ds.select_columns([key_col]).materialize()
     if n_parts is None:
@@ -368,27 +362,22 @@ def shuffle_rank(
     def tag(t: pa.Table) -> pa.Table:
         col = t.column(key_col).combine_chunks()
         h = _key_hash32(col, seed)
-        return pa.table({
-            key_col: col,
-            "_h": pa.array(h, pa.int64()),
-            "_p": pa.array(h * n_parts // (1 << 32), pa.int64()),
-        })
+        return pa.table({key_col: col, "_h": pa.array(h, pa.int64())})
+
+    def range_part(t: pa.Table) -> np.ndarray:
+        return t.column("_h").to_numpy() * n_parts // (1 << 32)
 
     narrow = keys.map_batches(tag, batch_format="pyarrow").materialize()
-    totals = narrow.groupby("_p").aggregate(ray.data.aggregate.Count()).take_all()
-    per_part = {int(r["_p"]): int(r["count()"]) for r in totals}
-    base = np.zeros(n_parts + 1, dtype=np.int64)
-    for b in range(n_parts):
-        base[b + 1] = base[b] + per_part.get(b, 0)
+    base = np.concatenate([[0], np.cumsum(part_totals(narrow, range_part, n_parts))])
 
     import pandas as pd
 
     def rank(g: pd.DataFrame):
         g = g.sort_values(["_h", key_col], kind="mergesort")
-        start = base[int(g["_p"].iat[0])]
-        return from_pandas_clean(pd.DataFrame({
+        start = base[int(g["_h"].iat[0]) * n_parts // (1 << 32)]
+        return pd.DataFrame({
             key_col: g[key_col].to_numpy(),
             "shuffle_rank": start + np.arange(len(g), dtype=np.int64),
-        }))
+        })
 
-    return narrow.groupby("_p").map_groups(rank, batch_format="pandas")
+    return by_key((narrow, range_part), rank)

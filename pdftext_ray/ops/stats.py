@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from pdftext_ray.ops import from_pandas_clean, round_half_away
+from pdftext_ray.ops import round_half_away
 
 
 def _value_histogram(ds: ray.data.Dataset, column: str, max_distinct: int) -> pd.DataFrame:
@@ -215,13 +215,11 @@ def grouped_percentiles(
     shuffle payload is the (group, value, count) histogram built per batch,
     bounded by distinct (group, value) pairs per block, not rows.
     """
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.relational import _key_part_tag
+    from pdftext_ray.ops.exchange import by_key
 
     pcts = [float(p) for p in percentiles]
     if any(not 0.0 < p <= 1.0 for p in pcts):
         raise ValueError(f"percentiles must be in (0, 1], got {pcts}")
-    n_parts = default_num_partitions()
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -238,7 +236,7 @@ def grouped_percentiles(
             "cnt": pa.array(agg["size"].to_numpy(), pa.int64()),
         })
 
-    def per_part(g: pd.DataFrame) -> pa.Table:
+    def per_part(g: pd.DataFrame) -> pd.DataFrame:
         # merge per-block partial counts, then rank per group
         h = g.groupby([group_col, "value"], as_index=False)["cnt"].sum()
         h = h.sort_values([group_col, "value"])
@@ -252,14 +250,9 @@ def grouped_percentiles(
                 out["pct"].append(p)
                 out["value"].append(int(sub["value"].iloc[idx]))
                 out["n_rows"].append(n)
-        return from_pandas_clean(pd.DataFrame(out))
+        return pd.DataFrame(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(_key_part_tag(group_col, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_key((ds.map_batches(partial, batch_format="pyarrow"), group_col), per_part)
 
 
 def sample_quantiles(
@@ -664,11 +657,9 @@ def grouped_approx_distinct(
     commutative/idempotent → layout- and retry-independent (the same
     contract as approx_distinct). Output: (group, approx_n rounded 3).
     """
-    from pdftext_ray.ops import default_num_partitions, from_pandas_clean
-    from pdftext_ray.ops.relational import _key_part_tag
+    from pdftext_ray.ops.exchange import by_key
 
     m = 1 << p
-    n_parts = default_num_partitions()
 
     def sketch(t: pa.Table) -> pa.Table:
         h = _hll_hash_column(t.column(column))
@@ -690,16 +681,9 @@ def grouped_approx_distinct(
             for blob in sub["reg"]:
                 reg = np.maximum(reg, np.frombuffer(blob, dtype=np.uint8))
             rows.append((grp, float(round_half_away(hll_estimate_from_registers(reg), 3))))
-        return from_pandas_clean(
-            pd.DataFrame(rows, columns=[group_col, "approx_n"])
-        )
+        return pd.DataFrame(rows, columns=[group_col, "approx_n"])
 
-    return (
-        ds.map_batches(sketch, batch_format="pyarrow")
-        .map_batches(_key_part_tag(group_col, n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(merge_part, batch_format="pandas")
-    )
+    return by_key((ds.map_batches(sketch, batch_format="pyarrow"), group_col), merge_part)
 
 
 # ---------------------------------------------------------------------------

@@ -365,11 +365,8 @@ def tfidf_topk(
 
     import pandas as pd
 
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.dedup import _bucket_array
+    from pdftext_ray.ops.exchange import by_key
 
-    if n_parts is None:
-        n_parts = default_num_partitions()
     if n_docs is None:
         n_docs = ds.count()
     n_f = float(n_docs)
@@ -383,12 +380,9 @@ def tfidf_topk(
             ids_out.extend([i] * len(c))
             terms.extend(c.keys())
             tfs.extend(c.values())
-        tbl = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [pa.array(ids_out, id_type), pa.array(terms, pa.string()), pa.array(tfs, pa.int64())],
             names=[id_col, "term", "tf"],
-        )
-        return tbl.append_column(
-            "_part", pa.array(_bucket_array(tbl.column("term").combine_chunks(), n_parts), pa.int64())
         )
 
     def score_part(g: pd.DataFrame) -> pa.Table:
@@ -409,16 +403,7 @@ def tfidf_topk(
             names=[id_col, "term", "tf", "score"],
         )
 
-    scored = (
-        ds.map_batches(explode_tf, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(score_part, batch_format="pandas")
-    )
-
-    def tag_doc(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part2", pa.array(_bucket_array(t.column(id_col).combine_chunks(), n_parts), pa.int64())
-        )
+    scored = by_key((ds.map_batches(explode_tf, batch_format="pyarrow"), "term"), score_part, n_parts)
 
     def head_per_doc(g: pd.DataFrame) -> pa.Table:
         ids = g[id_col].to_numpy()
@@ -446,11 +431,7 @@ def tfidf_topk(
             names=[id_col, "term", "tf", "score"],
         )
 
-    return (
-        scored.map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("_part2")
-        .map_groups(head_per_doc, batch_format="pandas")
-    )
+    return by_key((scored, id_col), head_per_doc, n_parts)
 
 
 def decontaminate(
@@ -482,12 +463,8 @@ def decontaminate(
 
     import pandas as pd
 
-    from pdftext_ray.ops import default_num_partitions
-    from pdftext_ray.ops.dedup import _bucket_array
+    from pdftext_ray.ops.exchange import by_key
     from pdftext_ray.ops.relational import hash_grouped_agg
-
-    if n_parts is None:
-        n_parts = default_num_partitions()
 
     def explode_grams(b: pa.Table) -> pa.Table:
         find = re.compile(r"\S+").findall
@@ -503,16 +480,13 @@ def decontaminate(
             ids_out.extend([i] * len(gset))
             grams.extend(gset)
             bench.extend([src == bench_value] * len(gset))
-        tbl = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [
                 pa.array(grams, pa.string()),
                 pa.array(ids_out, id_type),
                 pa.array(bench, pa.bool_()),
             ],
             names=["gram", id_col, "bench"],
-        )
-        return tbl.append_column(
-            "_part", pa.array(_bucket_array(tbl.column("gram").combine_chunks(), n_parts), pa.int64())
         )
 
     def hits_part(g: pd.DataFrame) -> pa.Table:
@@ -529,11 +503,7 @@ def decontaminate(
             names=[id_col, "n_hits"],
         )
 
-    partials = (
-        ds.map_batches(explode_grams, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(hits_part, batch_format="pandas")
-    )
+    partials = by_key((ds.map_batches(explode_grams, batch_format="pyarrow"), "gram"), hits_part, n_parts)
     return hash_grouped_agg(partials, id_col, {"n_hits": ("n_hits", "sum")})
 
 

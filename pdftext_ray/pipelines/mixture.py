@@ -69,9 +69,8 @@ def mixture_from_gated(
     (columns: id, lang, n_tokens, text_hash). Split out so the resumable
     runner (pipelines.checkpoint.run_mixture_checkpointed) can feed
     checkpointed phase-1 output into the identical global phase."""
-    from pdftext_ray.ops import default_num_partitions
+    from pdftext_ray.ops.exchange import by_key
     from pdftext_ray.ops.pack import pack_from_counts
-    from pdftext_ray.ops.relational import _key_part_tag
     from pdftext_ray.ops.sampling import temperature_sample
 
     # ARG-min dedup: keep the min-id row WHOLE per content hash, so the
@@ -79,25 +78,15 @@ def mixture_from_gated(
     # duplicate's label and skew the rebalance). text_hash cardinality ≈
     # corpus size, so this is a few-partition hash shuffle + vectorized
     # keep-first per partition (CLAUDE.md rule 9), not a per-key aggregate.
-    n_parts = default_num_partitions()
-
     def keep_first(g):
-        from pdftext_ray.ops import from_pandas_clean
-
         first = (
             g.sort_values(id_col, kind="mergesort")
             .drop_duplicates("text_hash", keep="first")
         )
-        return from_pandas_clean(
-            first[[id_col, lang_col, "n_tokens"]].reset_index(drop=True)
-        )
+        return first[[id_col, lang_col, "n_tokens"]].reset_index(drop=True)
 
-    survivors = (
-        gated.select_columns([id_col, lang_col, "n_tokens", "text_hash"])
-        .map_batches(_key_part_tag("text_hash", n_parts), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    survivors = by_key(
+        (gated.select_columns([id_col, lang_col, "n_tokens", "text_hash"]), "text_hash"), keep_first)
     sampled = temperature_sample(
         survivors, group_col=lang_col, key_col=id_col, alpha=alpha, seed=seed
     )

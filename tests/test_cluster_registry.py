@@ -1,5 +1,5 @@
-"""Tests: connected components (both plans), stage registry, external
-table-inputs broadcast join."""
+"""Tests: connected components (both plans), external table-inputs
+broadcast join."""
 
 import pyarrow as pa
 import pytest
@@ -8,7 +8,6 @@ import ray
 from pdftext_ray.kernel.document import ExtractConfig
 from pdftext_ray.ops import cluster
 from pdftext_ray.pipelines import extract as P
-from pdftext_ray.pipelines.registry import REGISTRY, build_pipeline
 
 
 def _pairs(edges):
@@ -124,24 +123,6 @@ def test_kmeans_separates_blobs_and_matches_golden():
     labels = out["cluster"].to_numpy()
     assert all(len(set(labels[i::3])) == 1 for i in range(3))
     assert len(set(labels[:3])) == 3
-
-
-def test_registry_compose_and_replace():
-    from pdftext_ray.pipelines import corpus_io
-
-    ds = ray.data.from_arrow(corpus_io.generate_corpus_table(8))
-    out = build_pipeline(["extract_spans", "drop_errors", "flatten"], ds)
-    assert out.count() > 0
-    assert set(out.schema().names) == {"doc_id", "order", "kind", "text", "media_ref"}
-
-    @REGISTRY.register("head3")
-    def head3(d, cfg):
-        return d.limit(3)
-
-    assert "head3" in REGISTRY.names()
-    assert build_pipeline(["extract_spans", "head3"], ds).count() == 3
-    with pytest.raises(KeyError):
-        REGISTRY.get("nope")
 
 
 def test_external_table_inputs_broadcast_join():

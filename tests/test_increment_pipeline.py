@@ -266,3 +266,41 @@ def test_day1_crash_at_commit_point(two_days, tmp_path):
     m = increment.run_increment(_docs(_DAY1), art, threshold=0.5)
     assert m["novel_hashes"] == 2 and m["sigs_rows"] == 2 and m["labels_rows"] == 0
     assert _artifacts(art) == _artifacts(day1)
+
+
+def _empty_parquet_read(tmp_path):
+    pq.write_table(pa.table({"k": pa.array([], pa.int64())}), str(tmp_path / "p.parquet"))
+    return ray.data.read_parquet(str(tmp_path)).materialize()
+
+
+def _columnless(tmp_path):
+    return ray.data.from_arrow([pa.table({})]).map_batches(lambda t: t, batch_format="pyarrow").materialize()
+
+
+@pytest.mark.parametrize("make", [_empty_parquet_read, _columnless], ids=["empty_parquet", "columnless"])
+@pytest.mark.parametrize("op", ["in_one_task", "key_set", "collect"])
+def test_probe_runs_no_schema_fetch(tmp_path, make, op):
+    # a materialized dataset whose blocks carry no schema costs the probe
+    # helpers no Ray Data execution (to_arrow_refs ran one more, limit 1, to
+    # fetch the schema)
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from pdftext_ray.ops import probe
+
+    ds = make(tmp_path)
+    calls = {
+        "in_one_task": lambda: probe.in_one_task(lambda b: pa.table({"n": [len(b)]}), ds).materialize(),
+        "key_set": lambda: ray.get(probe.key_set(ds, lambda t: t.column("k"))),
+        "collect": lambda: probe.collect(ds, pa.schema([("k", pa.int64())])),
+    }
+    n = [0]
+    real = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        n[0] += 1
+        return real(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StreamingExecutor, "execute", execute)
+        calls[op]()
+    assert n[0] == 0
