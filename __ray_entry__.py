@@ -203,7 +203,7 @@ def entry() -> Any:
     corpus = os.path.join(_cache_dir(n), "corpus")
     corpus_io.materialize_corpus(corpus, n, CORPUS_SEED)
     ds = P.read_documents(corpus)
-    return P.flat_spans(P.extract_spans(ds))
+    return P.flat_spans(P.extract(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def _spans(plan: str, **kwargs):
     return run
 
 
-_query("extract_spans", _golden("flat", "doc_id, \"order\", kind, text, media_ref"))(_spans("extract_spans"))
+_query("extract_spans", _golden("flat", "doc_id, \"order\", kind, text, media_ref"))(_spans("extract"))
 # the span plans share one oracle
 _query("extract_spans_exploded", lambda: _sql("extract_spans"))(_spans("extract_spans_exploded"))
 _query("extract_spans_skew_aware", lambda: _sql("extract_spans"))(
@@ -321,8 +321,8 @@ _query("extract_spans_skew_aware", lambda: _sql("extract_spans"))(
 # corpora)
 _op("extract_plain_text", "pipelines.extract.extract_plain_text_corpus_skew_aware",
     [_ensure_corpus], oracle=_golden("plain", "doc_id, text"))
-_op("extract_paginated_text", "pipelines.extract.extract_paginated_plain_text",
-    [_corpus_docs], oracle=_golden("paginated", "doc_id, page, text"))
+_op("extract_paginated_text", "pipelines.extract.extract", [_corpus_docs], "paginated",
+    oracle=_golden("paginated", "doc_id, page, text"))
 
 
 @_query("extract_tables", oracle=_golden("tables", "*"))
@@ -332,7 +332,7 @@ def _q_extract_tables(sf_dir: str):
     from pdftext_ray.pipelines import extract as P
     from pdftext_ray.pipelines.goldens import _TABLE_FLAT_SCHEMA, flatten_table_rows
 
-    ds = P.extract_tables(_corpus_docs(sf_dir))
+    ds = P.extract(_corpus_docs(sf_dir), "tables")
 
     def flat(batch: pa.Table) -> pa.Table:
         rows = {name: [] for name in _TABLE_FLAT_SCHEMA.names}
@@ -358,7 +358,7 @@ def _q_extract_dictionary(sf_dir: str):
         new_dict_flat_rows,
     )
 
-    ds = P.extract_dictionary(_corpus_docs(sf_dir))
+    ds = P.extract(_corpus_docs(sf_dir), "dict")
 
     # flatten the FULL nested shape to span rows (page dims, refs,
     # block/line/span nesting, bboxes, fonts, char offsets, scripts, urls) —
@@ -2484,7 +2484,7 @@ def _q_clean_extracted(sf_dir: str):
     from pdftext_ray.ops import dedup
     from pdftext_ray.pipelines import extract as P
 
-    plain = P.extract_plain_text(_corpus_docs(sf_dir))
+    plain = P.extract(_corpus_docs(sf_dir), "plain")
     return dedup.exact_dedup(plain, id_col="doc_id", text_col="text")
 
 

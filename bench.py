@@ -49,9 +49,65 @@ def _sf_label(path: str) -> float:
         return -1.0
 
 
+def calibrate(seconds: float = 1.5) -> float:
+    """Aggregate Mloops/s of a 32-wide pure-python burn — a host-noise
+    probe. On this VM a quiet window measures ~160-170; a contended one
+    can drop under half that, capping Ray throughput regardless of
+    num_cpus and invalidating the 8-vs-32 ratio. Recorded per scaling pair
+    and around the timed queries, so a contended measurement is visibly
+    contended. Spawned workers: the probe also runs after a Ray session,
+    whose threads make fork unsafe."""
+    import multiprocessing as mp
+
+    with mp.get_context("spawn").Pool(32) as p:
+        counts = p.map(_burn, [seconds] * 32)
+    return round(sum(counts) / seconds / 1e6, 1)
+
+
+def alloc_probe(n: int = 5) -> tuple:
+    """Median ms to allocate + first-touch a FRESH 32 MB buffer — the
+    probe for the hypervisor memory-write stalls isolated in round 2
+    (SURVEY §12): they are invisible to the CPU burn (measured 137.9
+    Mloops — only −18% — while a first-touch took 6.3 s and every bench
+    query ran 3-5× slow), but every Ray object-store write pays them.
+    Quiet ≈ 5-40 ms; a stalled window reads SECONDS — and the stall
+    concentrates on the FIRST big allocation a process makes (measured
+    7.6 s then 7 ms steady in the same interpreter), exactly what every
+    fresh Ray worker pays. Each sample therefore runs in a FRESH
+    subprocess (in-process repeats reuse the arena and hide it); report
+    (median, max) — the max is the signal."""
+    code = (
+        "import time, numpy as np\n"
+        "t0 = time.perf_counter()\n"
+        "b = np.empty(32 * 1024 * 1024 // 8, dtype=np.int64)\n"
+        "b.fill(1)\n"
+        "print(round((time.perf_counter() - t0) * 1000, 1))\n"
+    )
+    ts = []
+    for _ in range(n):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        ).stdout
+        try:
+            ts.append(float(out.strip()))
+        except ValueError:
+            # a probe subprocess dying (OOM mid-stall — the very thing
+            # being probed) must not abort the run; record the
+            # failure as an off-scale finite sentinel (JSON-safe)
+            ts.append(99_999.0)
+    return (sorted(ts)[len(ts) // 2], max(ts))
+
+
+def host_probe() -> dict:
+    """One reading of both host-noise probes (see :func:`calibrate`,
+    :func:`alloc_probe`); taken outside every timed query."""
+    return {"calib_mloops": calibrate(), "alloc_ms32": list(alloc_probe())}
+
+
 def run_bench() -> dict:
     import ray
 
+    host = {"before": host_probe()}
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     import ray.data
@@ -477,6 +533,7 @@ def run_bench() -> dict:
     timed("bpe_train", lambda: textstats.bpe_train(docs_ds(), n_merges=30))
 
     ray.shutdown()
+    host["after"] = host_probe()
     return {
         "metric": "pdftext_ray bench total (headline: interleaved-doc span extraction)",
         "value": round(sum(queries.values()), 3),
@@ -484,6 +541,7 @@ def run_bench() -> dict:
         "queries": queries,
         "sf": _sf_label(SF_DIR),
         "num_cpus": NUM_CPUS,
+        "host": host,
         **extras,
     }
 
@@ -497,51 +555,6 @@ def run_scaling() -> dict:
     the median of interleaved pairs is the defensible number.
     """
     repeats = int(os.environ.get("SCALING_REPEATS", "3"))
-
-    def calibrate(seconds: float = 1.5) -> float:
-        """Aggregate Mloops/s of a 32-wide pure-python burn — a host-noise
-        probe. On this VM a quiet window measures ~160-170; a contended one
-        can drop under half that, capping Ray throughput regardless of
-        num_cpus and invalidating the 8-vs-32 ratio. Recorded per pair so a
-        contended measurement is visibly contended."""
-        import multiprocessing as mp
-
-        with mp.Pool(32) as p:
-            counts = p.map(_burn, [seconds] * 32)
-        return round(sum(counts) / seconds / 1e6, 1)
-
-    def alloc_probe(n: int = 5) -> tuple:
-        """Median ms to allocate + first-touch a FRESH 32 MB buffer — the
-        probe for the hypervisor memory-write stalls isolated in round 2
-        (SURVEY §12): they are invisible to the CPU burn (measured 137.9
-        Mloops — only −18% — while a first-touch took 6.3 s and every bench
-        query ran 3-5× slow), but every Ray object-store write pays them.
-        Quiet ≈ 5-40 ms; a stalled window reads SECONDS — and the stall
-        concentrates on the FIRST big allocation a process makes (measured
-        7.6 s then 7 ms steady in the same interpreter), exactly what every
-        fresh Ray worker pays. Each sample therefore runs in a FRESH
-        subprocess (in-process repeats reuse the arena and hide it); report
-        (median, max) — the max is the signal."""
-        code = (
-            "import time, numpy as np\n"
-            "t0 = time.perf_counter()\n"
-            "b = np.empty(32 * 1024 * 1024 // 8, dtype=np.int64)\n"
-            "b.fill(1)\n"
-            "print(round((time.perf_counter() - t0) * 1000, 1))\n"
-        )
-        ts = []
-        for _ in range(n):
-            out = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True
-            ).stdout
-            try:
-                ts.append(float(out.strip()))
-            except ValueError:
-                # a probe subprocess dying (OOM mid-stall — the very thing
-                # being probed) must not abort the scaling run; record the
-                # failure as an off-scale finite sentinel (JSON-safe)
-                ts.append(99_999.0)
-        return (sorted(ts)[len(ts) // 2], max(ts))
 
     def run(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),

@@ -180,18 +180,9 @@ def cmd_extract(args) -> int:
             )
             return 2
     ds = _filter_pages(ds, pages)
-    if args.mode == "spans":
-        out = P.extract_spans_skew_aware(ds, cfg)
-    elif args.mode == "plain":
-        out = P.extract_plain_text(ds, cfg)
-    elif args.mode == "dict":
-        out = P.extract_dictionary(ds, cfg)
-    elif args.mode == "tables":
-        out = P.extract_tables(ds, cfg)
-    else:
-        print(f"unknown mode {args.mode}", file=sys.stderr)
-        return 2
-    return _emit(args, out)
+    if args.mode == "spans":  # sized in flight: a heavy doc still page-explodes
+        return _emit(args, P.extract_spans_skew_aware(ds, cfg))
+    return _emit(args, P.extract(ds, args.mode, cfg))
 
 
 def _is_parquet_dir(path: str) -> bool:

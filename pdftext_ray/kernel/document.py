@@ -8,17 +8,18 @@ pdftext/pdf/pages.py:260-301) on one document:
     → output shaping (M8/M9) / merge_text (M10) / span sequence (north rule).
 
 ``process_document`` is the single-document ORACLE for tests and the exact
-code the Ray Data stages execute per row — orchestration (batching, actor
+code the Ray Data stages execute per row — orchestration (batching, task
 pools, shuffles) lives in pdftext_ray/stages, semantics live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from pdftext_ray.kernel import cluster, links as klinks
-from pdftext_ray.kernel.decode import DecodedPage, decode_page, decode_page_dedup
+from pdftext_ray.kernel.backend import PayloadBackend
+from pdftext_ray.kernel.decode import DecodedPage
 from pdftext_ray.kernel.tables import table_cell_text
 from pdftext_ray.textops import handle_hyphens, postprocess_text, sort_blocks
 
@@ -45,22 +46,15 @@ class ExtractConfig:
 DEFAULT_CONFIG = ExtractConfig()
 
 
-def process_page(decoded: DecodedPage, cfg: ExtractConfig = DEFAULT_CONFIG, pre_deduped: bool = False) -> dict:
-    """Run the per-page clustering chain (pdftext/pdf/pages.py:270-301)."""
-    if pre_deduped and decoded.arrays is not None:
-        # hot path: span fold directly on the decoded arrays (no char tuples)
-        spans = cluster.get_spans_from_arrays(
-            decoded.arrays,
-            superscript_height_threshold=cfg.superscript_height_threshold,
-            line_distance_threshold=cfg.line_distance_threshold,
-        )
-    else:
-        chars = decoded.chars if pre_deduped else cluster.deduplicate_chars(decoded.chars)
-        spans = cluster.get_spans(
-            chars,
-            superscript_height_threshold=cfg.superscript_height_threshold,
-            line_distance_threshold=cfg.line_distance_threshold,
-        )
+def process_page(decoded: DecodedPage, cfg: ExtractConfig = DEFAULT_CONFIG) -> dict:
+    """Run the per-page clustering chain (pdftext/pdf/pages.py:270-301) on a
+    word-deduped page (M1 runs in the decode). A page with no chars has no
+    spans."""
+    spans = [] if decoded.arrays is None else cluster.get_spans_from_arrays(
+        decoded.arrays,
+        superscript_height_threshold=cfg.superscript_height_threshold,
+        line_distance_threshold=cfg.line_distance_threshold,
+    )
     lines = cluster.get_lines(spans)
     cluster.assign_scripts(
         lines,
@@ -82,24 +76,27 @@ def process_page(decoded: DecodedPage, cfg: ExtractConfig = DEFAULT_CONFIG, pre_
     }
 
 
-def process_document(payloads: List[str], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> List[dict]:
-    """Decode + cluster every page, then resolve links document-wide.
-
-    ``backend`` is a kernel.backend.DecoderBackend for alternative page-source
-    formats (None = the default synthetic-payload decode, same semantics as
-    backend=PayloadBackend())."""
-    decode = (
-        (lambda p: decode_page_dedup(p, cfg.quote_loosebox, cfg.flatten_pdf))
-        if backend is None
-        else (lambda p: backend.decode(p, cfg.quote_loosebox, cfg.flatten_pdf))
-    )
-    pages = [process_page(decode(p), cfg, pre_deduped=True) for p in payloads]
-    if not cfg.disable_links:
-        klinks.add_links_and_refs(pages, [pg["links"] for pg in pages])
-    else:
+def finish_pages(pages: List[dict], cfg: ExtractConfig = DEFAULT_CONFIG) -> List[dict]:
+    """Resolve links document-wide (link splitting changes span text, so it
+    cannot run per page), or give every page ``refs=[]`` when links are off.
+    Mutates and returns ``pages``."""
+    if cfg.disable_links:
         for pg in pages:
             pg["refs"] = []
+    else:
+        klinks.add_links_and_refs(pages, [pg["links"] for pg in pages])
     return pages
+
+
+def process_document(payloads: List[str], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> List[dict]:
+    """Decode + cluster every page, then finish the pages document-wide.
+
+    ``backend`` is a kernel.backend.DecoderBackend for alternative page-source
+    formats (None = ``PayloadBackend()``, the synthetic-payload decode)."""
+    backend = backend or PayloadBackend()
+    return finish_pages(
+        [process_page(backend.decode(p, cfg.quote_loosebox, cfg.flatten_pdf), cfg) for p in payloads], cfg
+    )
 
 
 def _shape_span(span: dict, keep_chars: bool) -> dict:
@@ -231,15 +228,18 @@ def span_sequence(pages: List[dict]) -> List[dict]:
     return seq
 
 
-def extract_document(payloads: List[str], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> dict:
-    """One-call flagship: payloads → span sequence + per-doc metrics."""
-    pages = process_document(payloads, cfg, backend=backend)
-    seq = span_sequence(pages)
+def span_output(pages: List[dict]) -> dict:
+    """The flagship row of one finished document: span sequence + metrics."""
     return {
-        "spans": seq,
+        "spans": span_sequence(pages),
         "n_pages": len(pages),
         "n_chars": sum(len(s["chars"]) for pg in pages for b in pg["blocks"] for l in b["lines"] for s in l["spans"]),
     }
+
+
+def extract_document(payloads: List[str], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> dict:
+    """One-call flagship: payloads → span sequence + per-doc metrics."""
+    return span_output(process_document(payloads, cfg, backend=backend))
 
 
 def table_output(pages: List[dict]) -> List[List[List[dict]]]:

@@ -2,7 +2,7 @@
 
 Plan shape (doc-parallel flagship):
 
-    read_table (column-pruned) → map_batches(DocumentExtractor) → write /
+    read_table (column-pruned) → map_batches(Extractor(mode)) → write /
     flatten — zero shuffles.
 
 Skew handling (north rule), decided in this module only: docs past
@@ -48,34 +48,27 @@ def read_documents(path: str, columns=("doc_id", "spans")) -> ray.data.Dataset:
     return read_table(path, columns=list(columns), override_num_blocks=_read_parallelism())
 
 
-def _default_pool_size(reserve: int = 2) -> int:
-    """Actor-pool size: node CPUs minus headroom for read/write stages, so
-    the pool doesn't starve the rest of the pipeline (a pool reserving every
-    CPU serializes the stages)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, cpus - reserve)
-
-
-def extract_spans(
+def extract(
     ds: ray.data.Dataset,
+    mode: str = "spans",
     cfg: Optional[ExtractConfig] = None,
     batch_size: int = 128,
+    table_inputs=None,
 ) -> ray.data.Dataset:
-    """Flagship doc-parallel span-sequence extraction (no shuffle).
+    """Doc-parallel extraction of ``ds`` in output ``mode`` (no shuffle):
+    "spans" (the flagship span sequence), "plain", "paginated", "dict" or
+    "tables". ``table_inputs`` (tables mode) is a pa.Table of external
+    detector regions — doc_id, page, tables list<bbox4>, img_size list2 —
+    put in the object store once and looked up per task.
 
     Note on the pool form: we pass a constructed INSTANCE, which Ray runs as
     a task pool (the callable pickles per task — cheap: it holds only the
-    config dataclass). The expensive warm state (imports, unicode tables,
-    compiled regexes) lives at module level and persists in Ray's reused
-    worker processes either way. The class+fn_constructor_args actor-pool
-    form was measured too: it pins `concurrency` CPUs per stage, which
-    starves multi-branch plans (skew union + groupby) on small nodes, for
-    <5% throughput difference on this workload.
+    mode and the config dataclass). The expensive warm state (imports,
+    unicode tables, compiled regexes) lives at module level and persists in
+    Ray's reused worker processes either way. The class+fn_constructor_args
+    actor-pool form was measured too: it pins `concurrency` CPUs per stage,
+    which starves multi-branch plans (skew union + groupby) on small nodes,
+    for <5% throughput difference on this workload.
 
     Concurrency is left to Ray (round-2 measurement: an explicit
     `concurrency=cpus-2` cap ran 13.0–15.2 s at the 100k-doc bench vs
@@ -83,10 +76,14 @@ def extract_spans(
     makes the worker pool grow super-proportionally between cluster sizes,
     muddying scaling measurements).
     """
-    return ds.map_batches(X.DocumentExtractor(cfg), batch_format="pyarrow", batch_size=batch_size)
+    if table_inputs is not None:
+        table_inputs = ray.put(table_inputs)
+    return ds.map_batches(
+        X.Extractor(mode, cfg, table_inputs), batch_format="pyarrow", batch_size=batch_size
+    )
 
 
-def _exploded(ds: ray.data.Dataset, assemble, cfg, page_batch_size: int = 32) -> ray.data.Dataset:
+def _exploded(ds: ray.data.Dataset, mode: str, cfg, page_batch_size: int = 32) -> ray.data.Dataset:
     """The page-exploded branch: explode → per-page decode (PageExtractor)
     → groupby(doc_id).map_groups(assemble), the one shuffle, keyed doc_id.
 
@@ -99,7 +96,7 @@ def _exploded(ds: ray.data.Dataset, assemble, cfg, page_batch_size: int = 32) ->
     pages = ds.map_batches(X.explode_pages, batch_format="pyarrow").map_batches(
         X.PageExtractor(cfg), batch_format="pyarrow", batch_size=page_batch_size
     )
-    return pages.groupby("doc_id").map_groups(lambda g: assemble(g, cfg), batch_format="pyarrow")
+    return pages.groupby("doc_id").map_groups(lambda g: X.assemble(g, mode, cfg), batch_format="pyarrow")
 
 
 def extract_spans_exploded(
@@ -108,26 +105,21 @@ def extract_spans_exploded(
     page_batch_size: int = 128,
 ) -> ray.data.Dataset:
     """Page-exploded extraction of every doc in ``ds`` (see :func:`_exploded`)."""
-    return _exploded(ds, X.assemble_document, cfg, page_batch_size)
-
-
-def _fused(ds: ray.data.Dataset, extractor, cfg) -> ray.data.Dataset:
-    """The fused doc-parallel branch: one ``extractor`` call per 128 docs."""
-    return ds.map_batches(extractor(cfg), batch_format="pyarrow", batch_size=128)
+    return _exploded(ds, "spans", cfg, page_batch_size)
 
 
 def _union(branches: List[ray.data.Dataset]) -> ray.data.Dataset:
     return branches[0].union(*branches[1:]) if len(branches) > 1 else branches[0]
 
 
-def _sized_branches(ds: ray.data.Dataset, extractor, assemble, cfg, threshold: int) -> List[ray.data.Dataset]:
+def _sized_branches(ds: ray.data.Dataset, mode: str, cfg, threshold: int) -> List[ray.data.Dataset]:
     """In-flight sizing of un-bucketed docs: the ``payload_sizes`` pre-pass,
     then docs past ``threshold`` payload bytes take the exploded branch.
     The shared lineage (read + pre-pass) executes once per branch."""
     sized = ds.map_batches(X.payload_sizes, batch_format="pyarrow")
     light = sized.filter(expr=f"payload_bytes <= {threshold}").drop_columns(["payload_bytes"])
     heavy = sized.filter(expr=f"payload_bytes > {threshold}").drop_columns(["payload_bytes"])
-    return [_fused(light, extractor, cfg), _exploded(heavy, assemble, cfg)]
+    return [extract(light, mode, cfg), _exploded(heavy, mode, cfg)]
 
 
 def extract_spans_skew_aware(
@@ -139,7 +131,7 @@ def extract_spans_skew_aware(
     ``explode_threshold`` page-exploded, union. Prefer
     :func:`extract_corpus_skew_aware` over an ingest-bucketed corpus, which
     reads each branch's files exactly once."""
-    return _union(_sized_branches(ds, X.DocumentExtractor, X.assemble_document, cfg, explode_threshold))
+    return _union(_sized_branches(ds, "spans", cfg, explode_threshold))
 
 
 def split_by_size(files: List[str]) -> Tuple[List[str], List[str], List[str]]:
@@ -185,7 +177,7 @@ def _heavy_bucket_blocks(files: List[str], nblocks: int) -> int:
     return max(2, min(math.ceil(rows / 8), 4 * nblocks))
 
 
-def _skew_plan(path: Union[str, List[str]], extractor, assemble, cfg) -> ray.data.Dataset:
+def _skew_plan(path: Union[str, List[str]], mode: str, cfg) -> ray.data.Dataset:
     """One plan over a corpus dir or file list: each file goes where
     :func:`split_by_size` routes it, each branch reads only its own files,
     and the branches union (no union when only one runs)."""
@@ -198,11 +190,11 @@ def _skew_plan(path: Union[str, List[str]], extractor, assemble, cfg) -> ray.dat
 
     branches = []
     if fused:
-        branches.append(_fused(read(fused, nblocks), extractor, cfg))
+        branches.append(extract(read(fused, nblocks), mode, cfg))
     if unsized:
-        branches += _sized_branches(read(unsized, nblocks), extractor, assemble, cfg, SIZE_BUCKET_THRESHOLD)
+        branches += _sized_branches(read(unsized, nblocks), mode, cfg, SIZE_BUCKET_THRESHOLD)
     if exploded:
-        branches.append(_exploded(read(exploded, _heavy_bucket_blocks(exploded, nblocks)), assemble, cfg))
+        branches.append(_exploded(read(exploded, _heavy_bucket_blocks(exploded, nblocks)), mode, cfg))
     return _union(branches)
 
 
@@ -212,18 +204,12 @@ def extract_corpus_skew_aware(
     """Span sequences of an ingested corpus (a dir or a list of its parquet
     files): heavy docs page-exploded, the bulk fused doc-parallel. Bucket at
     ingest, prune at the read — the 100 TB-correct layout (SURVEY.md §4 skew)."""
-    return _skew_plan(path, X.DocumentExtractor, X.assemble_document, cfg)
+    return _skew_plan(path, "spans", cfg)
 
 
 def flat_spans(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Span-sequence rows → one row per span (driver-comparable shape)."""
     return ds.map_batches(X.flatten_spans, batch_format="pyarrow")
-
-
-def extract_plain_text(
-    ds: ray.data.Dataset, cfg: Optional[ExtractConfig] = None, batch_size: int = 64
-) -> ray.data.Dataset:
-    return ds.map_batches(X.PlainTextExtractor(cfg), batch_format="pyarrow", batch_size=batch_size)
 
 
 def extract_plain_text_corpus_skew_aware(
@@ -234,43 +220,4 @@ def extract_plain_text_corpus_skew_aware(
     single-core, but monster documents straggle whole batches (measured 25 s
     vs 16 s for the equivalent spans plans at 100k docs/32 cpus). The
     exploded branch resolves links doc-wide after the shuffle, then merges."""
-    return _skew_plan(path, X.PlainTextExtractor, X.assemble_plain_text, cfg)
-
-
-def extract_paginated_plain_text(
-    ds: ray.data.Dataset, cfg: Optional[ExtractConfig] = None, batch_size: int = 64
-) -> ray.data.Dataset:
-    return ds.map_batches(
-        X.PaginatedPlainTextExtractor(cfg), batch_format="pyarrow", batch_size=batch_size
-    )
-
-
-def extract_dictionary(
-    ds: ray.data.Dataset, cfg: Optional[ExtractConfig] = None, batch_size: int = 64
-) -> ray.data.Dataset:
-    return ds.map_batches(X.DictionaryExtractor(cfg), batch_format="pyarrow", batch_size=batch_size)
-
-
-def extract_tables(
-    ds: ray.data.Dataset, cfg: Optional[ExtractConfig] = None, batch_size: int = 64
-) -> ray.data.Dataset:
-    return ds.map_batches(X.TableCellExtractor(cfg), batch_format="pyarrow", batch_size=batch_size)
-
-
-def extract_tables_with_inputs(
-    ds: ray.data.Dataset,
-    table_inputs,  # pa.Table: doc_id, page, tables list<bbox4>, img_size list2
-    cfg: Optional[ExtractConfig] = None,
-    batch_size: int = 64,
-) -> ray.data.Dataset:
-    """J5 keyed broadcast join: external detector regions broadcast once."""
-    import ray as _ray
-
-    ref = _ray.put(table_inputs)
-    return ds.map_batches(
-        X.TableCellExtractorWithInputs,
-        fn_constructor_args=(ref, cfg),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_default_pool_size(),
-    )
+    return _skew_plan(path, "plain", cfg)

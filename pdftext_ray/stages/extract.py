@@ -1,26 +1,26 @@
-"""Ray Data extraction stages — actor-pool map_batches UDFs over Arrow.
+"""Ray Data extraction stages — task-pool map_batches UDFs over Arrow.
 
-The decode+cluster kernel holds warm state (font caches, unicode LUTs are
-process-level; the config object and Arrow schemas are per-actor), so the
-stages are callable CLASSES run as actor pools:
-``ds.map_batches(DocumentExtractor(cfg_dict), concurrency=N, batch_size=B,
-batch_format="pyarrow")`` — setup once per actor in ``__init__``, work per
-batch in ``__call__`` (SURVEY.md §2.3 ST1; the reference holds a pdfium doc
-per ProcessPoolExecutor worker, pdftext/extraction.py:32-41).
+Every output mode ("spans", "plain", "paginated", "dict", "tables") is one
+row shaper over a finished document's pages (``_MODES``), and both physical
+plans run it through one error policy (``_rows``):
 
-Two physical plans:
-
-* **doc-parallel** (default): one row = one document; embarrassingly parallel,
-  zero shuffles. Right at 10^12-doc scale because the unit of skew is a doc.
+* **doc-parallel** (default): :class:`Extractor` — one row = one document;
+  embarrassingly parallel, zero shuffles. Right at 10^12-doc scale because
+  the unit of skew is a doc. It runs as a task pool:
+  ``ds.map_batches(Extractor(mode, cfg), batch_format="pyarrow")`` pickles
+  the instance (a mode and a config) per task, and the warm kernel state
+  (imports, unicode tables, compiled regexes) lives at module level in
+  Ray's reused worker processes (SURVEY.md §2.3 ST1; the reference holds a
+  pdfium doc per ProcessPoolExecutor worker, pdftext/extraction.py:32-41).
 * **page-exploded** (heavy tail): pathological documents (hundreds of pages)
   explode to one row per page, ``PageExtractor`` decodes each page row, and
-  ``groupby(doc_id).map_groups`` reassembles the document (the only shuffle,
-  keyed by doc_id; SURVEY.md §4 "skew"). Pages do NOT decode in parallel
-  today: Ray fuses explode → PageExtractor into tasks that bundle at least
-  a page batch of input DOC rows, so a doc's pages never leave the task
-  that exploded them (see ``pipelines.extract._exploded``). Page state
-  crosses the shuffle pickled, with each page's char arrays written once
-  (``kernel.decode.LazyChars``).
+  ``groupby(doc_id).map_groups(assemble)`` reassembles the document (the
+  only shuffle, keyed by doc_id; SURVEY.md §4 "skew"). Pages do NOT decode
+  in parallel today: Ray fuses explode → PageExtractor into tasks that
+  bundle at least a page batch of input DOC rows, so a doc's pages never
+  leave the task that exploded them (see ``pipelines.extract._exploded``).
+  Page state crosses the shuffle pickled, with each page's char arrays
+  written once (``kernel.decode.LazyChars``).
 """
 
 from __future__ import annotations
@@ -33,15 +33,18 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pdftext_ray.kernel.decode import decode_page_dedup
 from pdftext_ray.kernel.document import (
     ExtractConfig,
-    extract_document,
+    finish_pages,
+    merge_text,
     plain_text,
     process_document,
+    process_page,
     shape_dictionary,
-    span_sequence,
-    table_output,
+    span_output,
 )
+from pdftext_ray.kernel.tables import table_cell_text
 from pdftext_ray.stages import schemas
 
 
@@ -78,41 +81,108 @@ def payload_sizes(batch: pa.Table) -> pa.Table:
     return batch.append_column("payload_bytes", pa.array(sizes, pa.int64()))
 
 
-class DocumentExtractor:
-    """Flagship stage: input doc rows → span-sequence rows (no shuffle).
+def _span_rows(doc_id, pages, cfg, lookup) -> list:
+    out = span_output(pages)
+    return [(doc_id, out["spans"], out["n_pages"], out["n_chars"], "")]
 
-    Per-doc try/except emits an ``error`` column so one corrupt document can't
-    fail a whole block repeatedly (SURVEY.md §4 stragglers/retries).
-    """
 
-    def __init__(self, cfg: ExtractConfig = None):
-        self.cfg = cfg or ExtractConfig()
+def _table_rows(doc_id, pages, cfg, lookup) -> list:
+    """T1: one row per (page, table) with clustered cell text. The regions
+    are the page payload's own or, with external inputs (J5), the
+    ``(doc_id, page)`` entry of ``lookup``. Cell text reads the working
+    pages' chars, which every span keeps whatever ``cfg.keep_chars`` says."""
+    out = []
+    for page in pages:
+        tables, img_size = (
+            (page["tables"], page["img_size"]) if lookup is None
+            else lookup.get((doc_id, page["page"]), ((), None))
+        )
+        if tables and img_size:
+            out += [(doc_id, page["page"], t, cells)
+                    for t, cells in enumerate(table_cell_text(tables, page, img_size))]
+    return out
+
+
+# mode → (rows of one finished doc: (doc_id, pages, cfg, lookup) → [row
+# tuple], output schema of cfg)
+_MODES = {
+    "spans": (_span_rows, lambda cfg: schemas.SPAN_SEQ_SCHEMA),
+    "plain": (
+        lambda doc_id, pages, cfg, lookup: [(doc_id, plain_text(pages, sort=cfg.sort, hyphens=cfg.hyphens))],
+        lambda cfg: schemas.PLAIN_TEXT_SCHEMA,
+    ),
+    # reference paginated_plain_text_output (pdftext/extraction.py:77-81)
+    "paginated": (
+        lambda doc_id, pages, cfg, lookup: [
+            (doc_id, pg["page"], merge_text(pg, sort=cfg.sort, hyphens=cfg.hyphens).strip()) for pg in pages
+        ],
+        lambda cfg: schemas.PAGINATED_TEXT_SCHEMA,
+    ),
+    "dict": (
+        lambda doc_id, pages, cfg, lookup: [(doc_id, shape_dictionary(pages, cfg))],
+        lambda cfg: schemas.dictionary_schema(cfg.keep_chars),
+    ),
+    "tables": (_table_rows, lambda cfg: schemas.TABLE_SCHEMA),
+}
+
+
+class PageError(RuntimeError):
+    """A page of the doc failed in :class:`PageExtractor`; the message is
+    that page's traceback."""
+
+
+def _rows(mode: str, doc_id: str, pages, src, cfg: ExtractConfig, lookup=None) -> list:
+    """The ``mode`` rows of one doc: ``pages(src, cfg)`` gives its finished
+    pages, the mode's shaper their rows. The one error policy of both
+    plans: in spans mode any failure becomes the doc's one error row, so one
+    corrupt document can't fail a whole block repeatedly (SURVEY.md §4
+    stragglers/retries); every other mode raises."""
+    try:
+        return _MODES[mode][0](doc_id, pages(src, cfg), cfg, lookup)
+    except Exception as e:
+        if mode != "spans":
+            raise
+        error = str(e) if isinstance(e, PageError) else traceback.format_exc(limit=3)
+        return [(doc_id, [], 0, 0, error)]
+
+
+def _table(rows: list, schema: pa.Schema) -> pa.Table:
+    """Row tuples → a table of ``schema``, typed even at zero rows."""
+    cols = list(zip(*rows)) if rows else [[] for _ in schema]
+    return pa.Table.from_arrays([pa.array(c, f.type) for c, f in zip(cols, schema)], schema=schema)
+
+
+class Extractor:
+    """Doc-parallel stage: input doc rows → the rows of output ``mode``.
+
+    ``table_inputs`` (tables mode) is an ObjectRef of external detector
+    regions (doc_id, page, tables list<bbox4>, img_size list2), put once by
+    the driver and looked up once per task: the reference's
+    ``table_output(pdf_path, table_inputs)`` (pdftext/extraction.py:134-155,
+    J5) as a keyed broadcast join instead of its positional zip
+    (``assert len(pages) == len(table_inputs)``, extraction.py:147)."""
+
+    def __init__(self, mode: str, cfg: ExtractConfig = None, table_inputs=None):
+        self.mode, self.cfg, self.table_inputs = mode, cfg or ExtractConfig(), table_inputs
+        self.schema = _MODES[mode][1](self.cfg)
+        self.lookup = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        out_spans, n_pages, n_chars, errors = [], [], [], []
-        for payloads in _batch_payloads(batch):
-            try:
-                res = extract_document(payloads, self.cfg)
-                out_spans.append(res["spans"])
-                n_pages.append(res["n_pages"])
-                n_chars.append(res["n_chars"])
-                errors.append("")
-            except Exception:
-                out_spans.append([])
-                n_pages.append(0)
-                n_chars.append(0)
-                errors.append(traceback.format_exc(limit=3))
-        return pa.Table.from_arrays(
-            [
-                pa.array(doc_ids, pa.string()),
-                pa.array(out_spans, pa.list_(schemas.OUTPUT_SPAN)),
-                pa.array(n_pages, pa.int32()),
-                pa.array(n_chars, pa.int64()),
-                pa.array(errors, pa.string()),
-            ],
-            schema=schemas.SPAN_SEQ_SCHEMA,
-        )
+        if self.table_inputs is not None and self.lookup is None:
+            import ray
+
+            t = ray.get(self.table_inputs)
+            cols = (t.column(c).to_pylist() for c in ("doc_id", "page", "tables", "img_size"))
+            self.lookup = {(d, p): (tables, size) for d, p, tables, size in zip(*cols)}
+        rows = []
+        for doc_id, payloads in zip(batch.column("doc_id").to_pylist(), _batch_payloads(batch)):
+            rows += _rows(self.mode, doc_id, process_document, payloads, self.cfg, self.lookup)
+        return _table(rows, self.schema)
+
+
+def DocumentExtractor(cfg: ExtractConfig = None) -> Extractor:
+    """The flagship stage: input doc rows → span-sequence rows (no shuffle)."""
+    return Extractor("spans", cfg)
 
 
 def flatten_spans(batch: pa.Table) -> pa.Table:
@@ -137,157 +207,6 @@ def flatten_spans(batch: pa.Table) -> pa.Table:
         ],
         schema=schemas.FLAT_SPAN_SCHEMA,
     )
-
-
-class PlainTextExtractor:
-    """M10 parity: one plain-text string per document."""
-
-    def __init__(self, cfg: ExtractConfig = None):
-        self.cfg = cfg or ExtractConfig()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        texts = []
-        for payloads in _batch_payloads(batch):
-            pages = process_document(payloads, self.cfg)
-            texts.append(plain_text(pages, sort=self.cfg.sort, hyphens=self.cfg.hyphens))
-        return pa.Table.from_arrays(
-            [pa.array(doc_ids, pa.string()), pa.array(texts, pa.string())],
-            schema=schemas.PLAIN_TEXT_SCHEMA,
-        )
-
-
-class PaginatedPlainTextExtractor:
-    """Reference ``paginated_plain_text_output`` parity
-    (pdftext/extraction.py:77-81): one row per (doc, page) with the page's
-    merged text, stripped."""
-
-    def __init__(self, cfg: ExtractConfig = None):
-        self.cfg = cfg or ExtractConfig()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from pdftext_ray.kernel.document import merge_text
-
-        doc_ids = batch.column("doc_id").to_pylist()
-        o_doc, o_page, o_text = [], [], []
-        for doc_id, payloads in zip(doc_ids, _batch_payloads(batch)):
-            pages = process_document(payloads, self.cfg)
-            for pg in pages:
-                o_doc.append(doc_id)
-                o_page.append(pg["page"])
-                o_text.append(merge_text(pg, sort=self.cfg.sort, hyphens=self.cfg.hyphens).strip())
-        return pa.Table.from_arrays(
-            [pa.array(o_doc, pa.string()), pa.array(o_page, pa.int32()), pa.array(o_text, pa.string())],
-            names=["doc_id", "page", "text"],
-        )
-
-
-class DictionaryExtractor:
-    """M9 parity: full nested dictionary output as Arrow list<struct> pages."""
-
-    def __init__(self, cfg: ExtractConfig = None):
-        self.cfg = cfg or ExtractConfig()
-        self.schema = schemas.dictionary_schema(self.cfg.keep_chars)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        pages_out = []
-        for payloads in _batch_payloads(batch):
-            pages = process_document(payloads, self.cfg)
-            pages_out.append(shape_dictionary(pages, self.cfg))
-        return pa.Table.from_arrays(
-            [
-                pa.array(doc_ids, pa.string()),
-                pa.array(pages_out, self.schema.field("pages").type),
-            ],
-            schema=self.schema,
-        )
-
-
-class TableCellExtractor:
-    """T1 stage: one row per (doc, page, table) with clustered cell text."""
-
-    def __init__(self, cfg: ExtractConfig = None):
-        cfg = cfg or ExtractConfig()
-        # table extraction needs chars; links don't matter for cell text
-        self.cfg = cfg
-        if not cfg.keep_chars:
-            self.cfg = ExtractConfig(**{**cfg.__dict__, "keep_chars": True})
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        o_doc, o_page, o_tbl, o_cells = [], [], [], []
-        for doc_id, payloads in zip(doc_ids, _batch_payloads(batch)):
-            pages = process_document(payloads, self.cfg)
-            per_page = table_output(pages)
-            for page, tables in zip(pages, per_page):
-                for t_idx, cells in enumerate(tables):
-                    o_doc.append(doc_id)
-                    o_page.append(page["page"])
-                    o_tbl.append(t_idx)
-                    o_cells.append(cells)
-        return pa.Table.from_arrays(
-            [
-                pa.array(o_doc, pa.string()),
-                pa.array(o_page, pa.int32()),
-                pa.array(o_tbl, pa.int32()),
-                pa.array(o_cells, pa.list_(schemas.TABLE_CELL)),
-            ],
-            schema=schemas.TABLE_SCHEMA,
-        )
-
-
-class TableCellExtractorWithInputs:
-    """T1 with EXTERNAL table inputs (reference ``table_output(pdf_path,
-    table_inputs)``, pdftext/extraction.py:134-155, J5): the detector's table
-    regions come as a separate small table keyed (doc_id, page) that is
-    broadcast via ``ray.put`` once and looked up per page inside the actor —
-    a keyed broadcast join instead of the reference's positional zip
-    (``assert len(pages) == len(table_inputs)``, extraction.py:147)."""
-
-    def __init__(self, inputs_ref, cfg: ExtractConfig = None):
-        import ray as _ray
-
-        cfg = cfg or ExtractConfig()
-        self.cfg = cfg if cfg.keep_chars else ExtractConfig(**{**cfg.__dict__, "keep_chars": True})
-        # {(doc_id, page): (tables, img_size)} — built once per actor
-        inputs = _ray.get(inputs_ref)
-        self.lookup = {
-            (d, p): (t, s)
-            for d, p, t, s in zip(
-                inputs.column("doc_id").to_pylist(),
-                inputs.column("page").to_pylist(),
-                inputs.column("tables").to_pylist(),
-                inputs.column("img_size").to_pylist(),
-            )
-        }
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from pdftext_ray.kernel.tables import table_cell_text
-
-        doc_ids = batch.column("doc_id").to_pylist()
-        o_doc, o_page, o_tbl, o_cells = [], [], [], []
-        for doc_id, payloads in zip(doc_ids, _batch_payloads(batch)):
-            pages = process_document(payloads, self.cfg)
-            for page in pages:
-                hit = self.lookup.get((doc_id, page["page"]))
-                if not hit:
-                    continue
-                tables, img_size = hit
-                for t_idx, cells in enumerate(table_cell_text(tables, page, img_size)):
-                    o_doc.append(doc_id)
-                    o_page.append(page["page"])
-                    o_tbl.append(t_idx)
-                    o_cells.append(cells)
-        return pa.Table.from_arrays(
-            [
-                pa.array(o_doc, pa.string()),
-                pa.array(o_page, pa.int32()),
-                pa.array(o_tbl, pa.int32()),
-                pa.array(o_cells, pa.list_(schemas.TABLE_CELL)),
-            ],
-            schema=schemas.TABLE_SCHEMA,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +237,17 @@ class PageExtractor:
         self.cfg = cfg or ExtractConfig()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from pdftext_ray.kernel.decode import decode_page_dedup
-        from pdftext_ray.kernel.document import process_page
-
         payloads = batch.column("payload").to_pylist()
         states = []
         for p in payloads:
             try:
                 page = process_page(
-                    decode_page_dedup(p, self.cfg.quote_loosebox, self.cfg.flatten_pdf),
-                    self.cfg, pre_deduped=True,
+                    decode_page_dedup(p, self.cfg.quote_loosebox, self.cfg.flatten_pdf), self.cfg
                 )
                 states.append(pickle.dumps(page, protocol=pickle.HIGHEST_PROTOCOL))
             except Exception:
-                # per-page error isolation, mirroring DocumentExtractor: the
-                # marker surfaces as the doc's error column at reassembly
+                # per-page error isolation: the marker reaches the doc's
+                # reassembly, where the error policy of ``_rows`` applies
                 states.append(pickle.dumps({"__error__": traceback.format_exc(limit=3)},
                                            protocol=pickle.HIGHEST_PROTOCOL))
         return pa.Table.from_arrays(
@@ -345,61 +260,28 @@ class PageExtractor:
         )
 
 
-def _reassemble(group: pa.Table, cfg: ExtractConfig):
-    """One doc's page rows → (doc_id, pages, error): pages ordered by
-    ``page_pos`` and unpickled, then links resolved doc-wide (link
-    splitting changes span text, so it cannot run per page). ``error`` is
-    the first page's error marker, or None; pages are left unresolved then."""
-    from pdftext_ray.kernel import links as klinks
-
+def _group_pages(group: pa.Table, cfg: ExtractConfig) -> List[dict]:
+    """One doc's page rows → its finished pages: ordered by ``page_pos``,
+    unpickled, then finished doc-wide. A page's error marker raises
+    :class:`PageError`."""
     order = np.argsort(group.column("page_pos").to_numpy(zero_copy_only=False), kind="stable")
     states = group.column("page_state").to_pylist()
     pages = [pickle.loads(states[i]) for i in order]
-    doc_id = group.column("doc_id")[0].as_py()
-    errors = [p["__error__"] for p in pages if "__error__" in p]
-    if errors:
-        return doc_id, pages, errors[0]
-    if not cfg.disable_links:
-        klinks.add_links_and_refs(pages, [pg["links"] for pg in pages])
-    else:
-        for pg in pages:
-            pg["refs"] = []
-    return doc_id, pages, None
+    for pg in pages:
+        if "__error__" in pg:
+            raise PageError(pg["__error__"])
+    return finish_pages(pages, cfg)
+
+
+def assemble(group: pa.Table, mode: str, cfg: ExtractConfig = None) -> pa.Table:
+    """map_groups(doc_id): the ``mode`` rows of one reassembled doc — the
+    groupby(doc_id) reassembly of the north rule, under the error policy of
+    the doc-parallel :class:`Extractor`."""
+    cfg = cfg or ExtractConfig()
+    rows = _rows(mode, group.column("doc_id")[0].as_py(), _group_pages, group, cfg)
+    return _table(rows, _MODES[mode][1](cfg))
 
 
 def assemble_document(group: pa.Table, cfg: ExtractConfig = None) -> pa.Table:
-    """map_groups(doc_id): the span sequence of one reassembled doc — the
-    groupby(doc_id) reassembly of the north rule. A page error becomes the
-    doc's one error row, as in DocumentExtractor."""
-    doc_id, pages, error = _reassemble(group, cfg or ExtractConfig())
-    if error is not None:
-        seq, n_pages, n_chars = [], 0, 0
-    else:
-        seq, n_pages = span_sequence(pages), len(pages)
-        n_chars = sum(len(s["chars"]) for pg in pages for b in pg["blocks"] for l in b["lines"] for s in l["spans"])
-    return pa.Table.from_arrays(
-        [
-            pa.array([doc_id], pa.string()),
-            pa.array([seq], pa.list_(schemas.OUTPUT_SPAN)),
-            pa.array([n_pages], pa.int32()),
-            pa.array([n_chars], pa.int64()),
-            pa.array([error or ""], pa.string()),
-        ],
-        schema=schemas.SPAN_SEQ_SCHEMA,
-    )
-
-
-def assemble_plain_text(group: pa.Table, cfg: ExtractConfig = None) -> pa.Table:
-    """map_groups(doc_id): the merged plain text of one reassembled doc. A
-    page error raises, as the fused PlainTextExtractor does."""
-    cfg = cfg or ExtractConfig()
-    doc_id, pages, error = _reassemble(group, cfg)
-    if error is not None:
-        raise RuntimeError(error)
-    return pa.Table.from_arrays(
-        [
-            pa.array([doc_id], pa.string()),
-            pa.array([plain_text(pages, sort=cfg.sort, hyphens=cfg.hyphens)], pa.string()),
-        ],
-        schema=schemas.PLAIN_TEXT_SCHEMA,
-    )
+    """:func:`assemble` in spans mode."""
+    return assemble(group, "spans", cfg)

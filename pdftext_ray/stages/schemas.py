@@ -110,6 +110,8 @@ def dictionary_schema(keep_chars: bool = False) -> pa.Schema:
 
 # Plain-text output (reference plain_text_output parity, M10).
 PLAIN_TEXT_SCHEMA = pa.schema([("doc_id", pa.string()), ("text", pa.string())])
+# ... and one row per (doc, page): reference paginated_plain_text_output.
+PAGINATED_TEXT_SCHEMA = pa.schema([("doc_id", pa.string()), ("page", pa.int32()), ("text", pa.string())])
 
 # Table-cell output (T1): one row per (doc, page, table).
 TABLE_CELL = pa.struct([("text", pa.string()), ("bbox", BBOX)])

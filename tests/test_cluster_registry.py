@@ -150,7 +150,7 @@ def test_external_table_inputs_broadcast_join():
             "img_size": [[612.0, 792.0]],
         }
     )
-    out = P.extract_tables_with_inputs(docs, inputs).to_pandas()
+    out = P.extract(docs, "tables", table_inputs=inputs).to_pandas()
     assert set(out["doc_id"]) == {"d0"}
     cells = out.iloc[0]["cells"]
     assert [c["text"] for c in cells] == ["c00", "c01", "c02", "c10", "c11", "c12"]
@@ -162,7 +162,7 @@ def test_multimodal_loop_closure():
     from pdftext_ray.pipelines import corpus_io, multimodal
 
     ds = ray.data.from_arrow(corpus_io.generate_corpus_table(2 * 20).select(["doc_id", "spans"]))
-    seq = P.extract_spans(ds)
+    seq = P.extract(ds)
     payloads = multimodal.synth_payloads_for_corpus(seq)
     assert payloads.num_rows > 0
     feats = multimodal.featurize_referenced_media(seq, payloads).to_pandas()

@@ -1,10 +1,13 @@
 """Error isolation and nested dictionary-output structure."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 import ray
 
 from pdftext_ray.kernel.document import ExtractConfig
 from pdftext_ray.pipelines import corpus_io, extract as P
+from pdftext_ray.stages import extract as X
 
 
 def test_corrupt_doc_isolated_not_fatal():
@@ -22,7 +25,7 @@ def test_corrupt_doc_isolated_not_fatal():
         schema=good.schema,
     )
     ds = ray.data.from_arrow(pa.concat_tables([good, bad]))
-    out = P.extract_spans(ds, batch_size=8).to_pandas()
+    out = P.extract(ds, batch_size=8).to_pandas()
     assert len(out) == 5
     failed = out[out["doc_id"] == "doc-bad"]
     assert len(failed) == 1 and failed.iloc[0]["error"] != ""
@@ -32,7 +35,7 @@ def test_corrupt_doc_isolated_not_fatal():
 def test_dictionary_output_nested_structure_and_keep_chars():
     table = corpus_io.generate_corpus_table(6).select(["doc_id", "spans"])
     ds = ray.data.from_arrow(table)
-    out = P.extract_dictionary(ds, ExtractConfig(keep_chars=True)).to_pandas()
+    out = P.extract(ds, "dict", ExtractConfig(keep_chars=True)).to_pandas()
     assert len(out) == 6
     doc = out[out["doc_id"] == "doc-00000000"].iloc[0]
     page = doc["pages"][0]
@@ -46,9 +49,35 @@ def test_dictionary_output_nested_structure_and_keep_chars():
     ch = span["chars"][0]
     assert len(ch["bbox"]) == 4 and len(ch["char"]) == 1
     # without keep_chars the chars field is absent
-    out2 = P.extract_dictionary(ds, ExtractConfig(keep_chars=False)).to_pandas()
+    out2 = P.extract(ds, "dict", ExtractConfig(keep_chars=False)).to_pandas()
     span2 = out2.iloc[0]["pages"][0]["blocks"][0]["lines"][0]["spans"][0]
     assert "chars" not in span2
+
+
+def test_one_error_policy_in_both_plans(monkeypatch):
+    """A doc whose step after the page decode raises becomes that doc's one
+    error row in spans mode on both plans, the fused stage and the
+    post-shuffle assembly; every other mode raises."""
+    from pdftext_ray.kernel import links
+
+    def fail(*args):
+        raise RuntimeError("links failed")
+
+    table = corpus_io.generate_corpus_table(3).select(["doc_id", "spans"])
+    doc_ids = table.column("doc_id").to_pylist()
+    pages = X.PageExtractor()(X.explode_pages(table))
+    groups = [pages.filter(pc.equal(pages.column("doc_id"), d)) for d in doc_ids]
+    assert all(len(g) for g in groups)
+    monkeypatch.setattr(links, "add_links_and_refs", fail)
+    fused = X.DocumentExtractor()(table)
+    exploded = pa.concat_tables([X.assemble_document(g) for g in groups])
+    for out in (fused, exploded):
+        assert out.column("doc_id").to_pylist() == doc_ids
+        for row in out.to_pylist():
+            assert row["spans"] == [] and row["n_pages"] == 0
+            assert "links failed" in row["error"]
+    with pytest.raises(RuntimeError, match="links failed"):
+        X.assemble(groups[0], "plain")
 
 
 def test_payload_sizes_correct_on_sliced_batches():
@@ -113,6 +142,7 @@ def test_empty_dataset_through_pipelines():
     """A 0-row input must flow through every pipeline without crashing."""
     empty = corpus_io.generate_corpus_table(0).select(["doc_id", "spans"])
     ds = ray.data.from_arrow(empty)
-    assert P.extract_spans(ds).count() == 0
-    assert P.flat_spans(P.extract_spans(ds)).count() == 0
-    assert P.extract_plain_text(ds).count() == 0
+    for mode in ("spans", "plain", "paginated", "dict", "tables"):
+        assert X.Extractor(mode)(empty).num_rows == 0, mode
+        assert P.extract(ds, mode).count() == 0, mode
+    assert P.flat_spans(P.extract(ds)).count() == 0

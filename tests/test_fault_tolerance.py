@@ -44,7 +44,7 @@ def test_transient_udf_failure_is_retried(tmp_path):
             **transient_retry_args(),
         )
     )
-    out = P.extract_spans(ds)
+    out = P.extract(ds)
     rows = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
     assert os.path.exists(marker), "the injected failure never fired"
     assert rows.num_rows == N_DOCS

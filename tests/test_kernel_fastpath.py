@@ -83,7 +83,7 @@ def _page_spans(page):
 
 def _case_pages(case):
     doc = generate_document(CASES.index(case))
-    return [process_page(decode_page_dedup(s["text"]), pre_deduped=True)
+    return [process_page(decode_page_dedup(s["text"]))
             for s in doc["spans"] if s["kind"] == "text"]
 
 

@@ -54,7 +54,7 @@ def _assert_equal(actual: pa.Table, expected: pa.Table):
 
 
 def test_doc_parallel_matches_oracle(corpus_ds, expected):
-    out = P.flat_spans(P.extract_spans(corpus_ds, batch_size=7))
+    out = P.flat_spans(P.extract(corpus_ds, batch_size=7))
     _assert_equal(_collect(out), expected)
 
 
@@ -78,7 +78,7 @@ def test_flatten_pdf_extracts_form_fields(corpus_ds, expected):
     from pdftext_ray.kernel.document import ExtractConfig
 
     flat_cfg = ExtractConfig(flatten_pdf=True)
-    out_on = _collect(P.flat_spans(P.extract_spans(corpus_ds, flat_cfg, batch_size=7)))
+    out_on = _collect(P.flat_spans(P.extract(corpus_ds, cfg=flat_cfg, batch_size=7)))
     exp_on = corpus_io.expected_flat_table(N_DOCS, cfg=flat_cfg)
     _assert_equal(out_on, exp_on)
 
@@ -89,7 +89,7 @@ def test_flatten_pdf_extracts_form_fields(corpus_ds, expected):
 
 
 def test_no_errors_and_metrics_present(corpus_ds):
-    out = P.extract_spans(corpus_ds).to_pandas()
+    out = P.extract(corpus_ds).to_pandas()
     assert (out["error"] == "").all()
     assert (out["n_pages"] > 0).sum() >= N_DOCS - 4  # empty docs allowed
     assert out["n_chars"].sum() > 0
@@ -112,8 +112,8 @@ def test_media_interleaved_in_reading_order(expected):
 
 
 def test_deterministic_across_runs(corpus_ds):
-    a = P.flat_spans(P.extract_spans(corpus_ds, batch_size=3)).to_pandas()
-    b = P.flat_spans(P.extract_spans(corpus_ds, batch_size=17)).to_pandas()
+    a = P.flat_spans(P.extract(corpus_ds, batch_size=3)).to_pandas()
+    b = P.flat_spans(P.extract(corpus_ds, batch_size=17)).to_pandas()
     a = a.sort_values(["doc_id", "order"]).reset_index(drop=True)
     b = b.sort_values(["doc_id", "order"]).reset_index(drop=True)
     assert a.equals(b)
@@ -123,7 +123,7 @@ def test_equality_holds_at_unseen_seed():
     """The invariant is seed-independent: fresh layouts, same exactness."""
     table = corpus_io.generate_corpus_table(60, seed=7)
     ds = ray.data.from_arrow(table.select(["doc_id", "spans"]))
-    got = _collect(P.flat_spans(P.extract_spans(ds, batch_size=13)))
+    got = _collect(P.flat_spans(P.extract(ds, batch_size=13)))
     _assert_equal(got, corpus_io.expected_flat_table(60, seed=7))
 
 
@@ -132,7 +132,7 @@ def test_plain_text_skew_plan_matches_fused(heavy_corpora):
     fused doc-parallel plan (link resolution runs doc-wide in both), on
     every layout: the heavy docs take the exploded branch in each."""
     for path, rows in heavy_corpora.values():
-        fused = {r["doc_id"]: r["text"] for r in P.extract_plain_text(P.read_documents(path)).take_all()}
+        fused = {r["doc_id"]: r["text"] for r in P.extract(P.read_documents(path), "plain").take_all()}
         skew = {r["doc_id"]: r["text"] for r in P.extract_plain_text_corpus_skew_aware(path).take_all()}
         assert fused == skew and set(fused) == {r["doc_id"] for r in rows}
 
@@ -222,7 +222,7 @@ def test_corpus_skew_plan_matches_reference(heavy_corpora, layout):
 def test_plain_text_corpus_plan_matches_fused_reference(heavy_corpora, layout):
     path, rows = heavy_corpora[layout]
     table = corpus_io._rows_to_input_table(rows)
-    ref = X.PlainTextExtractor()(table.select(["doc_id", "spans"]))
+    ref = X.Extractor("plain")(table.select(["doc_id", "spans"]))
     expected = dict(zip(ref.column("doc_id").to_pylist(), ref.column("text").to_pylist()))
     got = {r["doc_id"]: r["text"] for r in P.extract_plain_text_corpus_skew_aware(path).take_all()}
     assert got == expected
@@ -271,8 +271,8 @@ def test_cli_spans_routes_ingested_corpus_by_files(heavy_corpora, tmp_path, monk
 
 def test_corrupt_page_in_heavy_doc(tmp_path):
     """One corrupt page in a heavy doc: the spans plan isolates it as that
-    doc's one error row; the plain-text plan raises, as the fused
-    PlainTextExtractor does."""
+    doc's one error row; the plain-text plan raises, as the fused plain
+    Extractor does."""
     bad = _heavy_doc("heavy-bad", 300, extra_pages=["P|0|zz|nope"])
     rows = [generate_document(i, 42, "mixed") for i in range(6)] + [bad]
     path = str(tmp_path / "corpus")
@@ -285,6 +285,6 @@ def test_corrupt_page_in_heavy_doc(tmp_path):
 
     bad_table = corpus_io._rows_to_input_table([bad]).select(["doc_id", "spans"])
     with pytest.raises(ValueError, match="could not convert"):
-        X.PlainTextExtractor()(bad_table)
+        X.Extractor("plain")(bad_table)
     with pytest.raises(Exception, match="could not convert"):
         P.extract_plain_text_corpus_skew_aware(path).take_all()
