@@ -50,18 +50,22 @@ def _sf_label(path: str) -> float:
 
 
 def calibrate(seconds: float = 1.5) -> float:
-    """Aggregate Mloops/s of a 32-wide pure-python burn — a host-noise
-    probe. On this VM a quiet window measures ~160-170; a contended one
-    can drop under half that, capping Ray throughput regardless of
-    num_cpus and invalidating the 8-vs-32 ratio. Recorded per scaling pair
-    and around the timed queries, so a contended measurement is visibly
-    contended. Spawned workers: the probe also runs after a Ray session,
-    whose threads make fork unsafe."""
+    """Mloops/s PER PROCESS of a pure-python burn run in one process per
+    host CPU (``os.cpu_count()``) — a host-noise probe whose reading means
+    the same on every host: it is one core's speed while all cores are
+    busy. A contended window reads well under a quiet one, capping Ray
+    throughput regardless of num_cpus and invalidating the 8-vs-32 ratio.
+    Recorded per scaling pair and around the timed queries, so a contended
+    measurement is visibly contended. Readings before this probe was sized
+    to the host (BASELINE.md's ~160-170 "quiet") were the TOTAL of 32
+    processes on a 32-cpu VM, i.e. ~5 per process. Spawned workers: the
+    probe also runs after a Ray session, whose threads make fork unsafe."""
     import multiprocessing as mp
 
-    with mp.get_context("spawn").Pool(32) as p:
-        counts = p.map(_burn, [seconds] * 32)
-    return round(sum(counts) / seconds / 1e6, 1)
+    n = os.cpu_count() or 1
+    with mp.get_context("spawn").Pool(n) as p:
+        counts = p.map(_burn, [seconds] * n)
+    return round(sum(counts) / n / seconds / 1e6, 1)
 
 
 def alloc_probe(n: int = 5) -> tuple:

@@ -484,6 +484,16 @@ def _lsh_bucket_table(
     return pa.Table.from_arrays(arrays, names=names)
 
 
+def _per_bucket(part: pd.DataFrame, bucket_fn, schema: pa.Schema) -> pa.Table:
+    """Run ``bucket_fn`` on every bucket of one few-partition hash part and
+    concatenate its non-empty tables (invariant 9: buckets are a >100k-key
+    space at corpus scale — 2^n_planes × probe fan-out — so they are scanned
+    per part, never one map_groups per bucket)."""
+    tabs = [bucket_fn(sub) for _, sub in part.groupby("bucket", sort=False)]
+    tabs = [t for t in tabs if t.num_rows]
+    return pa.concat_tables(tabs) if tabs else schema.empty_table()
+
+
 def incremental_embedding_dedup(
     new_emb: ray.data.Dataset,
     baseline_emb: ray.data.Dataset,
@@ -542,18 +552,13 @@ def incremental_embedding_dedup(
 
         return fn
 
-    def bucket_verdicts(group: pd.DataFrame):
-        def empty():
-            return pa.table({
-                id_col: pa.array([], id_type),
-                "dup_of": pa.array([], id_type),
-                "cosine": pa.array([], pa.float64()),
-            })
+    verdict_schema = pa.schema([(id_col, id_type), ("dup_of", id_type), ("cosine", pa.float64())])
 
+    def bucket_verdicts(group: pd.DataFrame):
         g = group.sort_values([id_col, "is_new"]).drop_duplicates(id_col).reset_index(drop=True)
         new = g[g["is_new"] == 1]
         if new.empty or len(g) < 2:
-            return empty()
+            return verdict_schema.empty_table()
         mat_all = np.asarray(g[vec_col].tolist(), dtype=np.float64)
         sims = np.asarray(new[vec_col].tolist(), dtype=np.float64) @ mat_all.T
         gids = g[id_col].to_numpy()
@@ -573,19 +578,6 @@ def incremental_embedding_dedup(
             "cosine": pa.array(o_c, pa.float64()),
         })
 
-    def part_verdicts(g: pd.DataFrame):
-        # few-partition bucket scan (invariant 9): all buckets of a hash
-        # partition in one vectorized pass, not per-distinct-bucket groups
-        outs = [bucket_verdicts(sub) for _, sub in g.groupby("bucket", sort=False)]
-        tabs = [t for t in outs if t.num_rows]
-        if not tabs:
-            return pa.table({
-                id_col: pa.array([], id_type),
-                "dup_of": pa.array([], id_type),
-                "cosine": pa.array([], pa.float64()),
-            })
-        return pa.concat_tables(tabs)
-
     # the increment is the small side by this op's contract; materialize the
     # input (not the 1+probes-times-larger posting expansion) so the
     # bucket-set pass and the posting pass share one read
@@ -594,7 +586,7 @@ def incremental_embedding_dedup(
 
     def filter_base(t: pa.Table) -> pa.Table:
         """Drop baseline postings in buckets no new vector probes — they
-        cannot meet a new row in part_verdicts, so the bucket shuffle
+        cannot meet a new row in bucket_verdicts, so the bucket shuffle
         carries candidates only, not the corpus."""
         col = t.column("bucket").combine_chunks().to_numpy(zero_copy_only=False)
         return t.filter(pa.array(probe.member_sorted(col, ray.get(bs_ref))))
@@ -602,7 +594,8 @@ def incremental_embedding_dedup(
     base_posts = baseline_emb.map_batches(bucketize(0), batch_format="pyarrow").map_batches(
         filter_base, batch_format="pyarrow")
 
-    hits = by_key((new_posts.union(base_posts), "bucket"), part_verdicts)
+    hits = by_key((new_posts.union(base_posts), "bucket"),
+                  lambda g: _per_bucket(g, bucket_verdicts, verdict_schema))
 
     def best(g: pd.DataFrame):
         g = g.sort_values(
@@ -657,6 +650,74 @@ def chunk_text_batch(
     )
 
 
+def _piece_dedup(
+    ds: ray.data.Dataset,
+    keep_rule,
+    id_col: str,
+    text_col: str,
+    sep: str,
+    n_parts: Optional[int],
+    count_cols,
+) -> ray.data.Dataset:
+    """The plan :func:`paragraph_dedup` and :func:`line_frequency_dedup`
+    share (two few-partition shuffles, no driver state): explode each text
+    on ``sep`` to (doc_id, idx, piece) → shuffle 1 on hash(piece) co-locates
+    every copy of a piece, and ``keep_rule(pieces, docs, idx)`` flags the
+    kept ones per partition in one vectorized pass → shuffle 2 on
+    hash(doc_id) rebuilds each document from its kept pieces in order.
+    Output: (doc_id, text, *count_cols) — the piece count and the dropped
+    count; a document whose every piece was dropped still emits a row
+    (text='')."""
+    def explode(t: pa.Table) -> pa.Table:
+        parts = pc.split_pattern(t.column(text_col), pattern=sep)
+        if isinstance(parts, pa.ChunkedArray):
+            parts = parts.combine_chunks()
+        counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False).astype(np.int64)
+        id_type = t.schema.field(id_col).type
+        ids = np.repeat(t.column(id_col).to_numpy(zero_copy_only=False), counts)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        idx = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+        return pa.Table.from_arrays(
+            [pa.array(ids, id_type), pa.array(idx, pa.int64()), parts.flatten()],
+            names=[id_col, "idx", "piece"],
+        )
+
+    def flag(g):
+        pieces, docs, idx = g["piece"].to_numpy(), g[id_col].to_numpy(), g["idx"].to_numpy()
+        return pd.DataFrame(
+            {id_col: docs, "idx": idx, "piece": pieces, "keep": keep_rule(pieces, docs, idx)})
+
+    def reassemble(g):
+        ids = g[id_col].to_numpy()
+        order = np.lexsort((g["idx"].to_numpy(), ids))
+        ids = ids[order]
+        pieces = g["piece"].to_numpy()[order]
+        keep = g["keep"].to_numpy()[order]
+        rstarts = np.flatnonzero(_run_starts(ids))
+        rends = np.append(rstarts[1:], len(ids))
+        o_id, o_text, o_n, o_dropped = [], [], [], []
+        for s, e in zip(rstarts.tolist(), rends.tolist()):
+            kept = [pieces[i] for i in range(s, e) if keep[i]]
+            o_id.append(ids[s])
+            o_text.append(sep.join(kept))
+            o_n.append(e - s)
+            o_dropped.append(e - s - len(kept))
+        id_dtype = g[id_col].dtype
+        id_type = pa.string() if id_dtype == object else pa.from_numpy_dtype(id_dtype)
+        return pa.Table.from_arrays(
+            [
+                pa.array(o_id, id_type),
+                pa.array(o_text, pa.string()),
+                pa.array(o_n, pa.int64()),
+                pa.array(o_dropped, pa.int64()),
+            ],
+            names=[id_col, "text", *count_cols],
+        )
+
+    flagged = by_key((ds.map_batches(explode, batch_format="pyarrow"), "piece"), flag, n_parts)
+    return by_key((flagged, id_col), reassemble, n_parts)
+
+
 def paragraph_dedup(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
@@ -670,81 +731,17 @@ def paragraph_dedup(
     (doc_id, para_idx), keep-first — is dropped, and documents are
     reassembled from their surviving paragraphs in order.
 
-    Plan (two few-partition shuffles, no driver state):
-      explode to (doc_id, para_idx, para) → shuffle 1 on hash(para) so every
-      copy of a paragraph co-locates; one vectorized lexsort per partition
-      marks the global first occurrence → shuffle 2 on hash(doc_id) → one
-      vectorized run-boundary pass per partition rebuilds each document.
-    Documents whose every paragraph was dropped still emit a row (text='').
+    Plan: :func:`_piece_dedup`; one lexsort per partition marks the global
+    first occurrence of each paragraph.
     Output: (doc_id, text, n_paras, n_dropped).
     """
-    def explode(t: pa.Table) -> pa.Table:
-        parts = pc.split_pattern(t.column(text_col), pattern=sep)
-        if isinstance(parts, pa.ChunkedArray):
-            parts = parts.combine_chunks()
-        counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False).astype(np.int64)
-        id_type = t.schema.field(id_col).type
-        ids = np.repeat(t.column(id_col).to_numpy(zero_copy_only=False), counts)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        idx = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
-        flat = parts.flatten()
-        return pa.Table.from_arrays(
-            [pa.array(ids, id_type), pa.array(idx, pa.int64()), flat],
-            names=[id_col, "para_idx", "para"],
-        )
+    def first_copy(paras, docs, idx):
+        order = np.lexsort((idx, docs, paras))
+        keep = np.empty(len(order), dtype=bool)
+        keep[order] = _run_starts(paras[order])
+        return keep
 
-    def keep_flags(g):
-        paras = g["para"].to_numpy()
-        order = np.lexsort((g["para_idx"].to_numpy(), g[id_col].to_numpy(), paras))
-        sp = paras[order]
-        first = np.empty(len(sp), dtype=bool)
-        first[0] = True
-        first[1:] = sp[1:] != sp[:-1]
-        keep = np.empty(len(sp), dtype=bool)
-        keep[order] = first
-        out = pd.DataFrame(
-            {
-                id_col: g[id_col].to_numpy(),
-                "para_idx": g["para_idx"].to_numpy(),
-                "para": paras,
-                "keep": keep,
-            }
-        )
-        return out
-
-    flagged = by_key((ds.map_batches(explode, batch_format="pyarrow"), "para"), keep_flags, n_parts)
-
-    def reassemble(g):
-        ids = g[id_col].to_numpy()
-        order = np.lexsort((g["para_idx"].to_numpy(), ids))
-        ids = ids[order]
-        paras = g["para"].to_numpy()[order]
-        keep = g["keep"].to_numpy()[order]
-        change = np.empty(len(ids), dtype=bool)
-        change[0] = True
-        change[1:] = ids[1:] != ids[:-1]
-        rstarts = np.nonzero(change)[0]
-        rends = np.append(rstarts[1:], len(ids))
-        o_id, o_text, o_np, o_nd = [], [], [], []
-        for s, e in zip(rstarts.tolist(), rends.tolist()):
-            kept = [paras[i] for i in range(s, e) if keep[i]]
-            o_id.append(ids[s])
-            o_text.append(sep.join(kept))
-            o_np.append(e - s)
-            o_nd.append(e - s - len(kept))
-        id_dtype = g[id_col].dtype
-        id_type = pa.string() if id_dtype == object else pa.from_numpy_dtype(id_dtype)
-        return pa.Table.from_arrays(
-            [
-                pa.array(o_id, id_type),
-                pa.array(o_text, pa.string()),
-                pa.array(o_np, pa.int64()),
-                pa.array(o_nd, pa.int64()),
-            ],
-            names=[id_col, "text", "n_paras", "n_dropped"],
-        )
-
-    return by_key((flagged, id_col), reassemble, n_parts)
+    return _piece_dedup(ds, first_copy, id_col, text_col, sep, n_parts, ("n_paras", "n_dropped"))
 
 
 def line_frequency_dedup(
@@ -761,88 +758,22 @@ def line_frequency_dedup(
     :func:`paragraph_dedup`'s C4 keep-first, the first copy goes too — a
     nav-bar line is boilerplate in all of its documents).
 
-    Plan (two few-partition shuffles, no driver state): explode to
-    (doc_id, line_idx, line) → shuffle 1 on hash(line) co-locates every copy
-    of a line; one vectorized lexsort per partition counts distinct docs per
-    line run and flags keep = ndocs < min_docs → shuffle 2 on hash(doc_id)
-    rebuilds each document from its surviving lines in order.
-    Output: (doc_id, text, n_lines, n_removed); a fully-boilerplate document
-    still emits a row (text='').
+    Plan: :func:`_piece_dedup`; one lexsort per partition counts distinct
+    docs per line run and keeps a line iff ndocs < min_docs.
+    Output: (doc_id, text, n_lines, n_removed).
     """
-    def explode(t: pa.Table) -> pa.Table:
-        parts = pc.split_pattern(t.column(text_col), pattern=sep)
-        if isinstance(parts, pa.ChunkedArray):
-            parts = parts.combine_chunks()
-        counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False).astype(np.int64)
-        id_type = t.schema.field(id_col).type
-        ids = np.repeat(t.column(id_col).to_numpy(zero_copy_only=False), counts)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        idx = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
-        flat = parts.flatten()
-        return pa.Table.from_arrays(
-            [pa.array(ids, id_type), pa.array(idx, pa.int64()), flat],
-            names=[id_col, "line_idx", "line"],
-        )
-
-    def keep_flags(g):
-        lines = g["line"].to_numpy()
-        docs = g[id_col].to_numpy()
+    def rare(lines, docs, idx):
         order = np.lexsort((docs, lines))
-        sl, sd = lines[order], docs[order]
-        new_line = np.empty(len(sl), dtype=bool)
-        new_line[0] = True
-        new_line[1:] = sl[1:] != sl[:-1]
+        new_line = _run_starts(lines[order])
         # distinct (line, doc) pairs: doc change within a line run, or a new run
-        new_pair = new_line.copy()
-        new_pair[1:] |= sd[1:] != sd[:-1]
+        new_pair = new_line | _run_starts(docs[order])
         gid = np.cumsum(new_line) - 1
         ndocs = np.bincount(gid[new_pair], minlength=gid[-1] + 1 if len(gid) else 0)
-        keep_sorted = ndocs[gid] < min_docs
-        keep = np.empty(len(sl), dtype=bool)
-        keep[order] = keep_sorted
-        out = pd.DataFrame(
-            {
-                id_col: docs,
-                "line_idx": g["line_idx"].to_numpy(),
-                "line": lines,
-                "keep": keep,
-            }
-        )
-        return out
+        keep = np.empty(len(order), dtype=bool)
+        keep[order] = ndocs[gid] < min_docs
+        return keep
 
-    flagged = by_key((ds.map_batches(explode, batch_format="pyarrow"), "line"), keep_flags, n_parts)
-
-    def reassemble(g):
-        ids = g[id_col].to_numpy()
-        order = np.lexsort((g["line_idx"].to_numpy(), ids))
-        ids = ids[order]
-        lines = g["line"].to_numpy()[order]
-        keep = g["keep"].to_numpy()[order]
-        change = np.empty(len(ids), dtype=bool)
-        change[0] = True
-        change[1:] = ids[1:] != ids[:-1]
-        rstarts = np.nonzero(change)[0]
-        rends = np.append(rstarts[1:], len(ids))
-        o_id, o_text, o_nl, o_nr = [], [], [], []
-        for s, e in zip(rstarts.tolist(), rends.tolist()):
-            kept = [lines[i] for i in range(s, e) if keep[i]]
-            o_id.append(ids[s])
-            o_text.append(sep.join(kept))
-            o_nl.append(e - s)
-            o_nr.append(e - s - len(kept))
-        id_dtype = g[id_col].dtype
-        id_type = pa.string() if id_dtype == object else pa.from_numpy_dtype(id_dtype)
-        return pa.Table.from_arrays(
-            [
-                pa.array(o_id, id_type),
-                pa.array(o_text, pa.string()),
-                pa.array(o_nl, pa.int64()),
-                pa.array(o_nr, pa.int64()),
-            ],
-            names=[id_col, "text", "n_lines", "n_removed"],
-        )
-
-    return by_key((flagged, id_col), reassemble, n_parts)
+    return _piece_dedup(ds, rare, id_col, text_col, sep, n_parts, ("n_lines", "n_removed"))
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +860,30 @@ def _jaccard_sorted(a: np.ndarray, b: np.ndarray) -> float:
     return inter / max(union, 1)
 
 
+def _bucket_runs(part: pd.DataFrame, id_col: str):
+    """One row per distinct (bucket, id) of a part, sorted by (bucket, id),
+    and the [start, end) row bounds of every bucket holding two or more ids
+    — the runs that can emit a pair. Numpy run bounds, not a pandas groupby:
+    iterating one pays ~100 µs per group, and duplication-heavy corpora have
+    ~every bucket multi-doc."""
+    part = part.drop_duplicates(["bucket", id_col]).sort_values(["bucket", id_col])
+    starts = np.flatnonzero(_run_starts(part["bucket"].to_numpy()))
+    ends = np.r_[starts[1:], len(part)]
+    multi = ends - starts >= 2
+    return part, starts[multi], ends[multi]
+
+
+def _run_pair_rows(starts: np.ndarray, ends: np.ndarray):
+    """Row-index pairs (i, j), i < j, within each [start, end) run, runs in
+    order — every pair of ids sharing a bucket."""
+    ia, ib = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for s0, e0 in zip(starts, ends):
+        a, b = np.triu_indices(e0 - s0, 1)
+        ia.append(a + s0)
+        ib.append(b + s0)
+    return np.concatenate(ia), np.concatenate(ib)
+
+
 def _postings_candidate_pairs(
     postings: ray.data.Dataset,
     id_col: str,
@@ -939,83 +894,49 @@ def _postings_candidate_pairs(
 ) -> ray.data.Dataset:
     """(bucket, id) postings → distinct candidate pairs (a < b), fully
     vectorized: one few-partition shuffle keyed on hash(bucket) co-locates
-    each bucket, then pandas groupby/triu emit per partition; a second
+    each bucket, then numpy run bounds and triu emit per partition; a second
     few-partition shuffle dedups pairs. Replaces the per-row Python
     AggregateFn collection (the 800k-posting stress probe spent its time in
     per-row accumulate calls, not in pair math). ``max_doc_freq`` drops
     hotter-than-N buckets (recall knob; None = every bucket); ``n_parts``
     lets callers who know the posting count for free size the shuffle."""
     def emit_part(g: pd.DataFrame) -> pd.DataFrame:
-        # sort + numpy run boundaries (a pandas groupby ITERATION pays
-        # ~100 µs per group; duplication-heavy corpora have ~every bucket
-        # multi-doc)
-        g = g.drop_duplicates(["bucket", id_col]).sort_values(["bucket", id_col])
-        buckets_arr = g["bucket"].to_numpy()
-        ids_arr = g[id_col].to_numpy()
-        starts = np.flatnonzero(np.r_[True, buckets_arr[1:] != buckets_arr[:-1]])
-        ends = np.r_[starts[1:], len(buckets_arr)]
-        out_a, out_b = [], []
-        n_pruned = 0
-        for s0, e0 in zip(starts, ends):
-            k = e0 - s0
-            if k < 2:
-                continue
-            if max_doc_freq is not None and k > max_doc_freq:
-                n_pruned += 1
-                continue
-            ia, ib = np.triu_indices(k, 1)
-            out_a.append(ids_arr[s0:e0][ia])
-            out_b.append(ids_arr[s0:e0][ib])
-        if n_pruned:
-            # no silent caps: say how many hot buckets the recall knob dropped
-            logging.getLogger("pdftext_ray.dedup").warning(
-                "candidate generation pruned %d bucket(s) hotter than "
-                "max_doc_freq=%d in this partition; pairs supported ONLY by "
-                "pruned buckets are missed (recall knob)",
-                n_pruned,
-                max_doc_freq,
-            )
-        if not out_a:
-            empty = g[id_col].iloc[:0]
-            return pd.DataFrame({a_col: empty, b_col: empty})
-        return pd.DataFrame(
-            {a_col: np.concatenate(out_a), b_col: np.concatenate(out_b)}
-        ).drop_duplicates()
+        g, starts, ends = _bucket_runs(g, id_col)
+        if max_doc_freq is not None:
+            hot = ends - starts > max_doc_freq
+            if hot.any():
+                # no silent caps: say how many hot buckets the recall knob dropped
+                logging.getLogger("pdftext_ray.dedup").warning(
+                    "candidate generation pruned %d bucket(s) hotter than "
+                    "max_doc_freq=%d in this partition; pairs supported ONLY by "
+                    "pruned buckets are missed (recall knob)",
+                    int(hot.sum()),
+                    max_doc_freq,
+                )
+                starts, ends = starts[~hot], ends[~hot]
+        ids = g[id_col].to_numpy()
+        ia, ib = _run_pair_rows(starts, ends)
+        return pd.DataFrame({a_col: ids[ia], b_col: ids[ib]}).drop_duplicates()
 
     cands = by_key((postings, "bucket"), emit_part, n_parts)
     return by_key((cands, (a_col, b_col)), lambda g: g[[a_col, b_col]].drop_duplicates(), n_parts)
 
 
-def _shingle_bucket_candidates(
-    sigs: ray.data.Dataset, id_col: str, a_col: str, b_col: str,
-    max_doc_freq: Optional[int] = None,
-) -> ray.data.Dataset:
-    """Inverted-shingle-index candidates: any pair sharing ≥1 shingle.
-
-    This generator has PERFECT recall for any Jaccard threshold > 0 (a pair
-    with nonzero Jaccard shares a shingle by definition), which makes the
-    verified output exact — the property the SQL oracle checks. Cost is
-    O(Σ bucket²); ``max_doc_freq`` prunes shingles hotter than N docs (a
-    scale knob that trades the exactness guarantee for bounded bucket work —
-    leave None for exact semantics).
-    """
-    return _postings_candidate_pairs(
-        _shingle_postings(sigs, id_col), id_col, a_col, b_col, max_doc_freq=max_doc_freq
-    )
-
-
 def _shingle_postings(sigs: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
-    """(id, shingles) → inverted-index postings (bucket=shingle hash, id)."""
+    """(id, shingles) → inverted-index postings (bucket=shingle hash, id,
+    m=|shingles|), one row per (doc, shingle) in one Arrow walk. Any pair
+    sharing a bucket shares a shingle, so candidates from these postings
+    have PERFECT recall for any Jaccard threshold > 0; the carried set size
+    is what the exact shared-gram count needs."""
     def explode(batch: pa.Table) -> pa.Table:
-        o_sh, o_id = [], []
-        for did, sh in zip(batch.column(id_col).to_pylist(), batch.column("shingles").to_pylist()):
-            o_sh.extend(sh)
-            o_id.extend([did] * len(sh))
-        # explicit id type: an all-empty-shingles block would otherwise infer
-        # a null-typed id column and break the downstream keyed shuffle
+        sh = batch.column("shingles")
+        rows = pc.list_parent_indices(sh)
         return pa.table({
-            "bucket": pa.array(o_sh, pa.int64()),
-            id_col: pa.array(o_id, batch.schema.field(id_col).type),
+            "bucket": pc.list_flatten(sh),
+            # id type carried by take: an all-empty-shingles block keeps a
+            # typed id column for the downstream keyed shuffle
+            id_col: pc.take(batch.column(id_col), rows),
+            "m": pc.take(pc.cast(pc.list_value_length(sh), pa.int64()), rows),
         })
 
     return sigs.map_batches(explode, batch_format="pyarrow")
@@ -1153,7 +1074,6 @@ def minhash_lsh_pairs(
     threshold: float = 0.7,
     id_col: str = "doc_id",
     text_col: str = "text",
-    concurrency: Optional[int] = None,
     exact_recall: bool = False,
 ) -> ray.data.Dataset:
     """MinHash+LSH near-dup candidate generation + exact Jaccard verification.
@@ -1173,13 +1093,12 @@ def minhash_lsh_pairs(
     the mode the gate's all-pairs SQL oracle compares against. Banding alone
     is the probabilistic scale path.
     """
-    kwargs = dict(batch_format="pyarrow", batch_size=1024)
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
     in_id_type = lambda: _schema_field_type(ds, id_col)  # noqa: E731 — lazy, rare path only
     # signatures computed once, pinned (small table: ids + 64 ints + shingle
     # hashes per doc), consumed by banding + the verification joins
-    sigs = ds.map_batches(MinHasher(num_perm, ngram, 7, id_col, text_col), **kwargs).materialize()
+    sigs = ds.map_batches(
+        MinHasher(num_perm, ngram, 7, id_col, text_col), batch_format="pyarrow", batch_size=1024,
+    ).materialize()
 
     # band explode, bucket keys only: (63-bit band-qualified hash, doc_id) —
     # whole-batch matrix bucketizer (shared with the incremental family;
@@ -1199,7 +1118,7 @@ def minhash_lsh_pairs(
         # inverted-shingle-index postings (perfect recall for j>0) share the
         # candidate generator with the band postings — a bucket is just a
         # co-occurrence key, and verification makes any superset exact
-        postings = postings.union(_shingle_postings(sigs, id_col))
+        postings = postings.union(_shingle_postings(sigs, id_col).select_columns(["bucket", id_col]))
     # pure banding: posting count is exactly n_docs*bands → size the shuffle.
     # exact_recall: shingle postings dominate AND per-bucket pair emission is
     # quadratic in bucket size — stragglers want full parallelism, so keep
@@ -1300,19 +1219,11 @@ def simhash_pairs(
         )
 
     def part_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop_duplicates(["bucket", id_col]).sort_values(["bucket", id_col])
-        buckets = part["bucket"].to_numpy()
+        part, starts, ends = _bucket_runs(part, id_col)
         ids_arr = part[id_col].to_numpy()
         sims_arr = part["simhash"].to_numpy(dtype=np.uint64)
-        # run boundaries over the sorted bucket column — a pandas groupby
-        # ITERATION pays ~100 µs per group, which dominates with tens of
-        # thousands of small buckets per partition
-        starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
-        ends = np.r_[starts[1:], len(buckets)]
         o_a, o_b, o_h = [], [], []
         for s0, e0 in zip(starts, ends):
-            if e0 - s0 < 2:
-                continue
             s = sims_arr[s0:e0]
             k = e0 - s0
             xors = s[:, None] ^ s[None, :]
@@ -1395,8 +1306,7 @@ def _collapse_identical_sets(
         ghs = g["_ghash"].to_numpy()
         pk = g["_packed"].to_numpy()
         ids = g[id_col].to_numpy()
-        new = np.r_[True, (ghs[1:] != ghs[:-1]) | (pk[1:] != pk[:-1])]
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(_run_starts(ghs) | _run_starts(pk))
         ends = np.r_[starts[1:], len(g)]
         kind, a, b, j, blob, gsize = [], [], [], [], [], []
         for s0, e0 in zip(starts, ends):
@@ -1571,27 +1481,6 @@ def _expand_rep_pairs(
     return with_b.map_batches(expand, batch_format="pyarrow")
 
 
-def _postings_from_sigs(sigs: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
-    """(id, shingles) → (bucket, id, m) postings with the set size carried,
-    the input shape of the exact shared-gram-count plan."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        o_gram, o_id, o_m = [], [], []
-        for did, sh in zip(
-            batch.column(id_col).to_pylist(), batch.column("shingles").to_pylist()
-        ):
-            o_gram.extend(sh)
-            o_id.extend([did] * len(sh))
-            o_m.extend([len(sh)] * len(sh))
-        return pa.table({
-            "bucket": pa.array(o_gram, pa.int64()),
-            id_col: pa.array(o_id, batch.schema.field(id_col).type),
-            "m": pa.array(o_m, pa.int64()),
-        })
-
-    return sigs.map_batches(f, batch_format="pyarrow")
-
-
 def ngram_jaccard_pairs(
     ds: ray.data.Dataset,
     threshold: float = 0.5,
@@ -1600,55 +1489,44 @@ def ngram_jaccard_pairs(
     text_col: str = "text",
     max_doc_freq: Optional[int] = None,
     hot_df_limit: Optional[int] = 1000,
-    collapse_identical: bool = True,
 ) -> ray.data.Dataset:
     """Exact word-n-gram Jaccard similarity self-join (pairs ≥ threshold).
 
     Semantics mirror the SQL oracle exactly: tokens = \\S+ runs; grams only
     when the doc has ≥ n tokens; distinct gram sets; jaccard = |∩| / |∪|.
 
-    Plan (fully distributed, verification-free — the round-1 ``take_all`` +
-    O(n²) all-pairs scan is gone): distinct gram-hash sets per doc →
-    inverted-index postings (gram, id, |grams|) → per-gram buckets emit one
-    pair row per SHARED gram → ``groupby(pair).count`` is then EXACTLY
-    |A∩B| (each bucket is one distinct gram, each doc appears in it at most
-    once), and carrying the two set sizes makes
-    ``jaccard = c / (m_a + m_b - c)`` exact with no second pass over the
-    gram data — the textbook distributed set-similarity join. Perfect
-    recall for any threshold > 0 (a pair with positive Jaccard shares a
-    gram). Grams are 61-bit blake2b hashes; hashed-set Jaccard equals
-    string-gram Jaccard up to a ~2⁻⁴⁰ per-corpus collision probability.
+    Plan (one, fully distributed; CLAUDE.md invariant 14):
+      1. Collapse byte-identical gram sets (``_collapse_identical_sets``):
+         each group joins as ONE representative and its internal pairs emit
+         directly as jaccard-1.0 cliques, so join cost scales with DISTINCT
+         sets, not documents (the ×10-exact-copy stress ran 322 s before the
+         collapse, with per-gram df emission ∝ copies²).
+      2. Count shared grams exactly over the representatives: inverted-index
+         postings (gram, id, |grams|) → per-gram buckets emit one pair row
+         per SHARED gram → the count per pair is EXACTLY |A∩B| (each bucket
+         is one distinct gram, each set appears in it at most once), and the
+         carried set sizes make ``jaccard = c / (m_a + m_b - c)`` exact with
+         no second pass over the gram data. Perfect recall for any
+         threshold > 0 (a pair with positive Jaccard shares a gram).
+      3. Expand representative pairs back to member pairs
+         (``_expand_rep_pairs``): identical sets share every gram, so a
+         member pair's jaccard IS its rep pair's.
+    Grams are 61-bit blake2b hashes; hashed-set Jaccard equals string-gram
+    Jaccard up to a ~2⁻⁴⁰ per-corpus collision probability.
 
-    Scale note: bucket pair emission is Σ C(df,2) rows of 4 ints; on
-    templated corpora with very hot grams, pass ``max_doc_freq=N`` — that
-    switches to the two-phase plan (DF-pruned inverted-index candidates →
-    distributed exact-Jaccard verify over the full gram sets), which bounds
-    per-bucket work at C(N,2) while keeping every EMITTED jaccard value
-    exact; only pairs whose shared grams are ALL hotter than N can be
-    missed (a recall knob, like LSH banding — default None is fully exact).
-
-    The exact default is DF-GUARDED, not silently quadratic: any gram whose
-    document frequency exceeds ``hot_df_limit`` (default 1000 → up to
-    C(1000,2) ≈ 500k emitted rows for that one gram) raises with the df and
-    the two remedies (``max_doc_freq=N`` for the bounded two-phase plan, or
-    a higher explicit limit to accept the cost). ``hot_df_limit=None``
-    restores the unguarded exact plan. In the two-phase plan the pruned
-    (dropped) gram-bucket count is logged per partition — no silent caps in
-    either direction.
-
-    ``collapse_identical=True`` (default) first groups byte-identical gram
-    sets (``_collapse_identical_sets``): each group joins as ONE
-    representative, its internal pairs emit directly as jaccard-1.0 cliques,
-    and representative pairs expand back to member pairs afterwards. Values
-    are unchanged — identical sets share every gram, so a member pair's
-    jaccard IS the rep pair's — but join cost now scales with DISTINCT sets,
-    not documents: the ×10-exact-copy stress dropped from 322 s (per-gram df
-    emission ∝ copies², the uncollapsed plan) to output-bound seconds. On a
-    duplication-free corpus the collapse adds one few-partition shuffle and
-    two pair-table attach shuffles of overhead; ``collapse_identical=False``
-    restores the single-pass plans. Collapse also improves two-phase RECALL:
-    exact copies previously shared only hot (pruned) grams and were missed
-    entirely; the clique stage now emits them regardless of df.
+    Step 2 is DF-GUARDED, not silently quadratic: bucket pair emission is
+    Σ C(df,2) rows, and any gram whose distinct-set frequency exceeds
+    ``hot_df_limit`` (default 1000 → up to C(1000,2) ≈ 500k emitted rows for
+    that one gram) raises with the df and the two remedies. The same limit
+    guards a clique of identical sets. ``hot_df_limit=None`` drops the
+    guard. ``max_doc_freq=N`` replaces step 2 with a DF-pruned verify: grams
+    hotter than N sets are dropped from candidate generation, and each
+    candidate pair gets its exact Jaccard over the full gram sets
+    (``_verify_pairs_exact_jaccard``). Every EMITTED value stays exact;
+    only pairs whose shared grams are ALL hotter than N can be missed (a
+    recall knob, like LSH banding), and exact copies never are — the
+    clique step emits them whatever their df. The pruned bucket count is
+    logged per partition — no silent caps.
     """
     from pdftext_ray.ops import default_num_partitions
 
@@ -1665,62 +1543,34 @@ def ngram_jaccard_pairs(
             "shingles": pa.array(out, pa.list_(pa.int64())),
         })
 
-    if collapse_identical:
-        sigs = ds.map_batches(gram_sets, batch_format="pyarrow", batch_size=1024)
-        grouped = _collapse_identical_sets(sigs, id_col, hot_df_limit, n_parts)
-        if grouped is None:  # no doc has a non-empty gram set → no pairs
-            idt = _schema_field_type(ds, id_col) or pa.int64()
-            return ray.data.from_arrow(pa.table({
-                "id_a": pa.array([], idt),
-                "id_b": pa.array([], idt),
-                "jaccard": pa.array([], pa.float64()),
-            }))
-        reps, members, cliques = _split_collapsed(grouped, id_col)
-        if max_doc_freq is not None:
-            cands = _shingle_bucket_candidates(
-                reps, id_col, "id_a", "id_b", max_doc_freq=max_doc_freq
-            )
-            rep_pairs = _verify_pairs_exact_jaccard(
-                cands, reps, id_col, "id_a", "id_b", threshold,
-                empty_id_type=lambda: _schema_field_type(ds, id_col),
-            )
-        else:
-            rep_pairs = _exact_jaccard_from_postings(
-                _postings_from_sigs(reps, id_col), id_col, threshold,
-                hot_df_limit, n_parts,
-            )
-        id_type = _schema_field_type(grouped, "a")
-        total_member_ids = int(grouped.sum("gsize") or 0)
-        expanded = _expand_rep_pairs(
-            rep_pairs, members, id_col, id_type, n_parts, total_member_ids
-        )
-        return cliques.union(expanded)
-
+    sigs = ds.map_batches(gram_sets, batch_format="pyarrow", batch_size=1024)
+    grouped = _collapse_identical_sets(sigs, id_col, hot_df_limit, n_parts)
+    if grouped is None:  # no doc has a non-empty gram set → no pairs
+        idt = _schema_field_type(ds, id_col) or pa.int64()
+        return ray.data.from_arrow(pa.table({
+            "id_a": pa.array([], idt),
+            "id_b": pa.array([], idt),
+            "jaccard": pa.array([], pa.float64()),
+        }))
+    reps, members, cliques = _split_collapsed(grouped, id_col)
+    postings = _shingle_postings(reps, id_col)
     if max_doc_freq is not None:
-        in_id_type = lambda: _schema_field_type(ds, id_col)  # noqa: E731 — lazy, rare path only
-        sigs = ds.map_batches(gram_sets, batch_format="pyarrow", batch_size=1024).materialize()
-        cands = _shingle_bucket_candidates(sigs, id_col, "id_a", "id_b", max_doc_freq=max_doc_freq)
-        return _verify_pairs_exact_jaccard(
-            cands, sigs, id_col, "id_a", "id_b", threshold, empty_id_type=in_id_type
+        cands = _postings_candidate_pairs(
+            postings.select_columns(["bucket", id_col]), id_col, "id_a", "id_b",
+            max_doc_freq=max_doc_freq,
         )
-
-    def postings(batch: pa.Table) -> pa.Table:
-        o_gram, o_id, o_m = [], [], []
-        for did, t in zip(batch.column(id_col).to_pylist(), batch.column(text_col).to_pylist()):
-            grams = np.unique(_shingle_hashes(t, n, short_fallback=False)).astype(np.int64)
-            o_gram.extend(grams.tolist())
-            o_id.extend([did] * len(grams))
-            o_m.extend([len(grams)] * len(grams))
-        return pa.table({
-            "bucket": pa.array(o_gram, pa.int64()),
-            id_col: pa.array(o_id, batch.schema.field(id_col).type),
-            "m": pa.array(o_m, pa.int64()),
-        })
-
-    return _exact_jaccard_from_postings(
-        ds.map_batches(postings, batch_format="pyarrow", batch_size=1024),
-        id_col, threshold, hot_df_limit, n_parts,
+        rep_pairs = _verify_pairs_exact_jaccard(
+            cands, reps, id_col, "id_a", "id_b", threshold,
+            empty_id_type=lambda: _schema_field_type(ds, id_col),
+        )
+    else:
+        rep_pairs = _exact_jaccard_from_postings(postings, id_col, threshold, hot_df_limit, n_parts)
+    id_type = _schema_field_type(grouped, "a")
+    total_member_ids = int(grouped.sum("gsize") or 0)
+    expanded = _expand_rep_pairs(
+        rep_pairs, members, id_col, id_type, n_parts, total_member_ids
     )
+    return cliques.union(expanded)
 
 
 def _exact_jaccard_from_postings(
@@ -1740,40 +1590,21 @@ def _exact_jaccard_from_postings(
     per pair IS |A∩B|."""
 
     def part_emit(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop_duplicates(["bucket", id_col]).sort_values(["bucket", id_col])
-        buckets_arr = part["bucket"].to_numpy()
-        ids_arr = part[id_col].to_numpy()
-        m_arr = part["m"].to_numpy(dtype=np.int64)
-        starts = np.flatnonzero(np.r_[True, buckets_arr[1:] != buckets_arr[:-1]])
-        ends = np.r_[starts[1:], len(buckets_arr)]
-        o_a, o_b, o_ma, o_mb = [], [], [], []
-        for s0, e0 in zip(starts, ends):
-            k = e0 - s0
-            if k < 2:
-                continue
-            if hot_df_limit is not None and k > hot_df_limit:
-                raise ValueError(
-                    f"ngram_jaccard_pairs: gram with doc_freq={k} exceeds "
-                    f"hot_df_limit={hot_df_limit}; exact emission costs "
-                    f"C(df,2)={k * (k - 1) // 2} pair rows for this one gram. "
-                    "Pass max_doc_freq=N for the DF-pruned two-phase plan, or "
-                    "raise hot_df_limit explicitly to accept the cost."
-                )
-            ia, ib = np.triu_indices(k, 1)
-            o_a.append(ids_arr[s0:e0][ia])
-            o_b.append(ids_arr[s0:e0][ib])
-            o_ma.append(m_arr[s0:e0][ia])
-            o_mb.append(m_arr[s0:e0][ib])
-        if not o_a:
-            empty = part[id_col].iloc[:0]
-            ei = pd.Series([], dtype=np.int64)
-            return pd.DataFrame({"id_a": empty, "id_b": empty, "m_a": ei, "m_b": ei})
-        return pd.DataFrame({
-            "id_a": np.concatenate(o_a),
-            "id_b": np.concatenate(o_b),
-            "m_a": np.concatenate(o_ma),
-            "m_b": np.concatenate(o_mb),
-        })
+        part, starts, ends = _bucket_runs(part, id_col)
+        sizes = ends - starts
+        if hot_df_limit is not None and (sizes > hot_df_limit).any():
+            k = int(sizes[sizes > hot_df_limit][0])
+            raise ValueError(
+                f"ngram_jaccard_pairs: gram with doc_freq={k} exceeds "
+                f"hot_df_limit={hot_df_limit}; exact emission costs "
+                f"C(df,2)={k * (k - 1) // 2} pair rows for this one gram. "
+                "Pass max_doc_freq=N for the DF-pruned two-phase plan, or "
+                "raise hot_df_limit explicitly to accept the cost."
+            )
+        ids = part[id_col].to_numpy()
+        m = part["m"].to_numpy(dtype=np.int64)
+        ia, ib = _run_pair_rows(starts, ends)
+        return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib], "m_a": m[ia], "m_b": m[ib]})
 
     emissions = by_key((postings, "bucket"), part_emit, n_parts)
 
@@ -2021,17 +1852,14 @@ def embedding_dup_pairs(
     def bucketize(batch: pa.Table) -> pa.Table:
         return _lsh_bucket_table(batch, id_col, vec_col, n_planes, seed, masks)
 
+    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()), ("cosine", pa.float64())])
+
     def bucket_pairs(group: pd.DataFrame):
-        empty = pd.DataFrame({
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "cosine": pd.Series([], dtype="float64"),
-        })
-        if len(group) < 2:
-            return from_pandas_clean(empty)
+        if len(group) < 2:  # most buckets: skip the frame ops below
+            return pair_schema.empty_table()
         g = group.sort_values(id_col).drop_duplicates(id_col).reset_index(drop=True)
         if len(g) < 2:
-            return from_pandas_clean(empty)
+            return pair_schema.empty_table()
         mat = np.asarray(g[vec_col].tolist(), dtype=np.float64)
         sims = mat @ mat.T
         ia, ib = np.triu_indices(len(g), k=1)
@@ -2044,22 +1872,8 @@ def embedding_dup_pairs(
             }
         ))
 
-    # buckets are a >100k-distinct-key space at corpus scale (2^n_planes ×
-    # probe fan-out), so the scan is a FEW-PARTITION hash shuffle with all
-    # buckets of a partition processed in one vectorized pass (invariant 9)
-    # — never a per-distinct-bucket map_groups
-    def part_pairs(g: pd.DataFrame):
-        outs = [bucket_pairs(sub) for _, sub in g.groupby("bucket", sort=False)]
-        tabs = [t for t in outs if t.num_rows]
-        if not tabs:
-            return pa.table({
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "cosine": pa.array([], pa.float64()),
-            })
-        return pa.concat_tables(tabs)
-
-    pairs = by_key((ds.map_batches(bucketize, batch_format="pyarrow"), "bucket"), part_pairs)
+    pairs = by_key((ds.map_batches(bucketize, batch_format="pyarrow"), "bucket"),
+                   lambda g: _per_bucket(g, bucket_pairs, pair_schema))
 
     # global pair dedup (a pair co-buckets in several probed buckets): the
     # few-partition shuffle + vectorized max pattern (invariant 9) — NOT a
@@ -2148,17 +1962,18 @@ def semantic_dedup(
 # End-to-end fuzzy dedup: pairs → components → keep best per cluster
 # ---------------------------------------------------------------------------
 
-def _keepbest_broadcast_labels(
-    ds: ray.data.Dataset,
-    pairs: ray.data.Dataset,
-    n_parts: int,
-    id_col: str,
-    text_col: str,
+# up to this many near-dup pairs, fuzzy_dedup_keepbest labels clusters by
+# union-find on the driver and broadcasts the labels; past it, by the
+# distributed connected components and a keyed label merge
+_KEEPBEST_BROADCAST_PAIRS = 2_000_000
+
+
+def _broadcast_cluster_tags(
+    ds: ray.data.Dataset, pairs: ray.data.Dataset, id_col: str, text_col: str
 ) -> ray.data.Dataset:
-    """Small-pair-set keepbest: union-find on the driver, labels broadcast
-    once via ray.put, ONE vectorized pass tags every doc (pandas .map =
-    C-speed dict lookups) — singletons emit directly; only clustered rows
-    (≤ 2·|pairs|) enter the per-cluster argmax groupby."""
+    """(doc_id, n_tokens, cluster_id or -1) per doc for a small pair set:
+    union-find on the driver, labels broadcast once via ray.put, ONE
+    vectorized pass tags every doc."""
     import ray as _ray
 
     from pdftext_ray.ops import cluster as _cluster
@@ -2187,82 +2002,18 @@ def _keepbest_broadcast_labels(
             "cluster_id": pa.array(clus, pa.int64()),
         })
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
-
-    def singles(t: pa.Table) -> pa.Table:
-        k = t.filter(pc.equal(t.column("cluster_id"), -1))
-        return pa.table({
-            "doc_id": k.column("doc_id"),
-            "n_tokens": k.column("n_tokens"),
-            "n_dups": pa.array(np.ones(len(k), dtype=np.int64), pa.int64()),
-        })
-
-    def clustered(t: pa.Table) -> pa.Table:
-        return t.filter(pc.not_equal(t.column("cluster_id"), -1))
-
-    winners = by_key((tagged.map_batches(clustered, batch_format="pyarrow"), "cluster_id"),
-                     _cluster_winners, n_parts)
-    return tagged.map_batches(singles, batch_format="pyarrow").union(winners)
+    return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def _cluster_winners(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-cluster argmax of a part: the longest doc (ties → lowest id)
-    with its cluster's size as ``n_dups``."""
-    g = g.sort_values(["cluster_id", "n_tokens", "doc_id"], ascending=[True, False, True])
-    sizes = g.groupby("cluster_id", sort=False)["doc_id"].transform("size")
-    first = ~g["cluster_id"].duplicated()
-    return pd.DataFrame({
-        "doc_id": g.loc[first, "doc_id"].astype(np.int64),
-        "n_tokens": g.loc[first, "n_tokens"].astype(np.int64),
-        "n_dups": sizes[first].astype(np.int64),
-    })
-
-
-def fuzzy_dedup_keepbest(
-    ds: ray.data.Dataset,
-    threshold: float = 0.4,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    exact_recall: bool = True,
-    small_pairs_cap: int = 2_000_000,
+def _distributed_cluster_tags(
+    ds: ray.data.Dataset, pairs: ray.data.Dataset, id_col: str, text_col: str, n_parts: int
 ) -> ray.data.Dataset:
-    """Full fuzzy-dedup flow with best-doc retention — the shape production
-    corpus cleaning actually ships: MinHash near-dup pairs →
-    distributed connected components → per-cluster ARGMAX keeping the
-    longest doc (ties → lowest id), singletons kept as-is.
-
-    Output (all int64): ``(doc_id, n_tokens, n_dups)`` — one row per
-    SURVIVING doc, ``n_dups`` = number of docs it represents (cluster size;
-    1 for singletons).
-
-    Plan: the cluster label table (only clustered docs — tiny vs corpus) is
-    attached to the narrow (id, n_tokens) projection with ONE co-partitioned
-    bucket merge on doc_id (Dataset.join avoided per the empty-partition
-    caveat); winners resolve with one hash(cluster_id) shuffle and a
-    vectorized per-partition argmax. The text column never enters a shuffle.
-    """
+    """(doc_id, n_tokens, cluster_id or -1) per doc for any pair set: the
+    distributed connected components, then the label table (only clustered
+    docs — tiny vs corpus) attached to the narrow (id, n_tokens) projection
+    with ONE two-sided keyed merge on doc_id (never ``Dataset.join``, per its
+    empty-partition caveat)."""
     from pdftext_ray.ops import cluster as _cluster
-    from pdftext_ray.ops import default_num_partitions
-
-    pairs = minhash_lsh_pairs(
-        ds, threshold=threshold, id_col=id_col, text_col=text_col,
-        exact_recall=exact_recall,
-    ).materialize()
-    n_parts = default_num_partitions(per_cpu=2, lo=4, hi=128)
-
-    # SIZE SWITCH on the pair table (near-dup pair sets are sparse): below
-    # the cap, driver union-find + a broadcast label dict replace BOTH the
-    # iterative CC rounds (a groupby per round) and the label join-back
-    # shuffle — measured 21 s → ~9 s at 100k docs / 256 pairs. Past the cap
-    # the fully distributed plan below takes over unchanged.
-    n_pairs = pairs.count()
-    if n_pairs <= small_pairs_cap:
-        # argmax groupby only carries clustered rows (≤ 2·pairs) — size it so
-        return _keepbest_broadcast_labels(
-            ds, pairs,
-            default_num_partitions(per_cpu=2, lo=4, hi=128, rows=2 * n_pairs),
-            id_col, text_col,
-        )
 
     labels = _cluster.connected_components_distributed(pairs, "doc_a", "doc_b")
 
@@ -2286,11 +2037,66 @@ def fuzzy_dedup_keepbest(
                              "cluster_id": cl})
 
     i64 = pa.int64()
-    merged = by_key({
+    return by_key({
         "docs": (ds.map_batches(lengths, batch_format="pyarrow"), "doc_id",
                  pa.schema([("doc_id", i64), ("n_tokens", i64)])),
         "labels": (labels, "doc_id", pa.schema([("doc_id", i64), ("cluster_id", i64)])),
-    }, merge, n_parts).materialize()  # narrow (24 B/doc); consumed by both branches below
+    }, merge, n_parts)
+
+
+def _cluster_winners(g: pd.DataFrame) -> pd.DataFrame:
+    """Per-cluster argmax of a part: the longest doc (ties → lowest id)
+    with its cluster's size as ``n_dups``."""
+    g = g.sort_values(["cluster_id", "n_tokens", "doc_id"], ascending=[True, False, True])
+    sizes = g.groupby("cluster_id", sort=False)["doc_id"].transform("size")
+    first = ~g["cluster_id"].duplicated()
+    return pd.DataFrame({
+        "doc_id": g.loc[first, "doc_id"].astype(np.int64),
+        "n_tokens": g.loc[first, "n_tokens"].astype(np.int64),
+        "n_dups": sizes[first].astype(np.int64),
+    })
+
+
+def fuzzy_dedup_keepbest(
+    ds: ray.data.Dataset,
+    threshold: float = 0.4,
+    id_col: str = "doc_id",
+    text_col: str = "text",
+    exact_recall: bool = True,
+) -> ray.data.Dataset:
+    """Full fuzzy-dedup flow with best-doc retention — the shape production
+    corpus cleaning actually ships: MinHash near-dup pairs →
+    connected components → per-cluster ARGMAX keeping the longest doc
+    (ties → lowest id), singletons kept as-is.
+
+    Output (all int64): ``(doc_id, n_tokens, n_dups)`` — one row per
+    SURVIVING doc, ``n_dups`` = number of docs it represents (cluster size;
+    1 for singletons).
+
+    Plan: every doc is tagged (doc_id, n_tokens, cluster_id or -1). Up to
+    ``_KEEPBEST_BROADCAST_PAIRS`` pairs (near-dup pair sets are sparse) a
+    driver union-find and broadcast labels tag it, replacing both the
+    iterative CC rounds and the label merge (measured 21 s → ~9 s at 100k
+    docs / 256 pairs); past it the distributed components and a keyed label
+    merge do. Then singletons emit directly, and winners resolve with one
+    hash(cluster_id) shuffle of the clustered rows and a vectorized per-part
+    argmax. The text column never enters a shuffle.
+    """
+    from pdftext_ray.ops import default_num_partitions
+
+    pairs = minhash_lsh_pairs(
+        ds, threshold=threshold, id_col=id_col, text_col=text_col,
+        exact_recall=exact_recall,
+    ).materialize()
+    n_pairs = pairs.count()
+    if n_pairs <= _KEEPBEST_BROADCAST_PAIRS:
+        tagged = _broadcast_cluster_tags(ds, pairs, id_col, text_col)
+        # the argmax shuffle only carries clustered rows (≤ 2·pairs) — size it so
+        n_parts = default_num_partitions(per_cpu=2, lo=4, hi=128, rows=2 * n_pairs)
+    else:
+        n_parts = default_num_partitions(per_cpu=2, lo=4, hi=128)
+        tagged = _distributed_cluster_tags(ds, pairs, id_col, text_col, n_parts)
+    tagged = tagged.materialize()  # narrow (24 B/doc); read by both outputs below
 
     def singles(t: pa.Table) -> pa.Table:
         k = t.filter(pc.equal(t.column("cluster_id"), -1))
@@ -2308,6 +2114,6 @@ def fuzzy_dedup_keepbest(
             "cluster_id": pc.cast(k.column("cluster_id"), pa.int64()),
         })
 
-    winners = by_key((merged.map_batches(clustered, batch_format="pyarrow"), "cluster_id"),
+    winners = by_key((tagged.map_batches(clustered, batch_format="pyarrow"), "cluster_id"),
                      _cluster_winners, n_parts)
-    return merged.map_batches(singles, batch_format="pyarrow").union(winners)
+    return tagged.map_batches(singles, batch_format="pyarrow").union(winners)

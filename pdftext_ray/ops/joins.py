@@ -101,35 +101,6 @@ def partitioned_hash_join(
     )
 
 
-class BloomFilter:
-    """Plain numpy Bloom filter — the broadcast side for semi/anti joins when
-    the exact key set is too large to ship (guide: 'broadcast the key set
-    (or a Bloom filter of it)'). Deterministic double hashing; false-positive
-    rate ≈ (1 - e^{-kn/m})^k."""
-
-    def __init__(self, keys, bits_per_key: int = 12, num_hashes: int = 4):
-        n = max(len(keys), 1)
-        self.m = n * bits_per_key
-        self.k = num_hashes
-        self.bits = np.zeros((self.m + 63) // 64, dtype=np.uint64)
-        for key in keys:
-            for pos in self._positions(key):
-                self.bits[pos >> 6] |= np.uint64(1 << (pos & 63))
-
-    def _positions(self, key):
-        import hashlib
-
-        d = hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
-        h1 = int.from_bytes(d[:8], "big")
-        h2 = int.from_bytes(d[8:], "big") | 1
-        return [((h1 + i * h2) % self.m) for i in range(self.k)]
-
-    def __contains__(self, key) -> bool:
-        return all(
-            self.bits[p >> 6] & np.uint64(1 << (p & 63)) for p in self._positions(key)
-        )
-
-
 def _arrow_types(ds: ray.data.Dataset) -> dict:
     """{col: pa.DataType} from a Dataset's schema. Arrow-backed datasets
     report pyarrow types directly; pandas-backed blocks report numpy dtypes
@@ -279,9 +250,9 @@ def salted_hash_join(
 
 # Multiplicative double-hash constants for the DISTRIBUTED bloom filter —
 # Fibonacci hashing prime + the xxhash64 prime 2 (both public constants).
-# Chosen over blake2b (the driver-side BloomFilter above) because the whole
-# hash is HUGEINT-expressible, so a DuckDB oracle reproduces membership —
-# INCLUDING the false positives — bit-for-bit.
+# Chosen over blake2b because the whole hash is HUGEINT-expressible, so a
+# DuckDB oracle reproduces membership — INCLUDING the false positives —
+# bit-for-bit.
 _BLOOM_P1 = np.uint64(11400714819323198485)
 _BLOOM_P2 = np.uint64(14029467366897019727)
 
@@ -371,32 +342,19 @@ def semi_join(
     keys,
     key_col: str,
     anti: bool = False,
-    use_bloom: bool = False,
 ) -> ray.data.Dataset:
     """Semi (or anti) join: keep large-side rows whose key is (not) in the
-    broadcast key set. Exact by default; ``use_bloom=True`` ships a Bloom
-    filter instead — semi joins then admit ~FP-rate extra rows and anti joins
-    drop them, so bloom mode is a PRE-filter to follow with an exact pass at
-    true scale (documented tradeoff)."""
-    import pyarrow.compute as pc
-
-    # normalize numpy scalars etc. to plain Python values so Bloom hashing of
-    # repr(key) matches the probe values (to_pylist yields Python scalars)
+    broadcast key set — exact. At a scale where the key set is too large to
+    ship, pre-filter with :func:`bloom_semi_join` over
+    :func:`distributed_bloom_bits` first."""
+    # normalize numpy scalars etc. to plain Python values so one Arrow type
+    # is inferred for the broadcast key set
     key_list = sorted({k.item() if hasattr(k, "item") else k for k in keys})
+    ref = ray.put(pa.array(key_list))
 
-    if use_bloom:
-        ref = ray.put(BloomFilter(key_list))
-
-        def fn(batch: pa.Table) -> pa.Table:
-            bloom = ray.get(ref)
-            mask = [(k in bloom) != anti for k in batch.column(key_col).to_pylist()]
-            return batch.filter(pa.array(mask, type=pa.bool_()))
-    else:
-        ref = ray.put(pa.array(key_list))
-
-        def fn(batch: pa.Table) -> pa.Table:
-            hit = pc.is_in(batch.column(key_col), value_set=ray.get(ref))
-            return batch.filter(pc.invert(hit) if anti else hit)
+    def fn(batch: pa.Table) -> pa.Table:
+        hit = pc.is_in(batch.column(key_col), value_set=ray.get(ref))
+        return batch.filter(pc.invert(hit) if anti else hit)
 
     return large.map_batches(fn, batch_format="pyarrow")
 

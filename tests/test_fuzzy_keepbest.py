@@ -3,6 +3,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from pdftext_ray.ops import dedup
@@ -58,7 +59,16 @@ def _scalar(t: pa.Table, threshold=0.4):
     return out
 
 
-def test_fuzzy_keepbest_matches_scalar():
+@pytest.fixture(params=["broadcast", "distributed"])
+def branch(request, monkeypatch):
+    """Both cluster-labelling branches: a pair cap of 0 sends every pair set
+    to the distributed connected components and keyed label merge."""
+    if request.param == "distributed":
+        monkeypatch.setattr(dedup, "_KEEPBEST_BROADCAST_PAIRS", 0)
+    return request.param
+
+
+def test_fuzzy_keepbest_matches_scalar(branch):
     t = _corpus()
     got = (
         dedup.fuzzy_dedup_keepbest(ray.data.from_arrow(t), threshold=0.4)

@@ -375,18 +375,37 @@ def test_substring_dedup_property_vs_reference():
 
 
 def _ngram_norm(df):
-    if df.empty and "id_a" not in df.columns:
-        # a fully-pruned legacy two-phase run yields a schema-less empty
-        return []
     return sorted(map(tuple, df[["id_a", "id_b", "jaccard"]].values.tolist()))
 
 
+def _ngram_all_pairs(ids, texts, threshold, n=3):
+    """Brute-force reference over all pairs: distinct \\S+ n-gram sets,
+    jaccard = |∩| / max(|∪|, 1) rounded half away from zero to 6 places,
+    kept when ≥ threshold; pairs as (id_a < id_b, jaccard)."""
+    import math
+    import re
+
+    def grams(text):
+        toks = re.findall(r"\S+", text)
+        return {" ".join(toks[i:i + n]) for i in range(len(toks) - n + 1)}
+
+    sets = [grams(t) for t in texts]
+    out = []
+    for i in range(len(ids)):
+        for k in range(i + 1, len(ids)):
+            a, b = sets[i], sets[k]
+            j = len(a & b) / max(len(a | b), 1)
+            if j >= threshold:
+                out.append((*sorted((ids[i], ids[k])), math.floor(j * 1e6 + 0.5) / 1e6))
+    return sorted(out)
+
+
 def test_ngram_collapse_identical_equals_legacy_on_dup_heavy_corpus():
-    """The identical-gram-set collapse (the ×10-stress fix) must be a pure
-    plan change: exact values equal to the uncollapsed plan on a corpus
-    where every doc has 3 exact copies, for int AND string ids, and the
-    two-phase plan's output must be a superset of its uncollapsed self
-    (collapse RECOVERS exact-copy pairs that hot-gram pruning lost)."""
+    """The identical-gram-set collapse (the ×10-stress fix) gives the exact
+    all-pairs values on a corpus where every doc has 3 exact copies, for int
+    AND string ids, and the DF-pruned plan's output is a subset of it that
+    still holds every exact-copy pair (the clique step emits them whatever
+    their gram frequency)."""
     base = [
         "alpha beta gamma delta epsilon zeta eta theta iota kappa",
         "alpha beta gamma delta epsilon zeta eta theta iota lambda",
@@ -404,29 +423,20 @@ def test_ngram_collapse_identical_equals_legacy_on_dup_heavy_corpus():
         return ray.data.from_arrow(pa.table({"doc_id": ids, "text": texts}))
 
     new = _ngram_norm(dedup.ngram_jaccard_pairs(mk(int_ids), threshold=0.3).to_pandas())
-    old = _ngram_norm(
-        dedup.ngram_jaccard_pairs(mk(int_ids), threshold=0.3, collapse_identical=False).to_pandas()
-    )
-    assert new == old and len(new) > 0
+    assert new == _ngram_all_pairs(int_ids, texts, 0.3) and len(new) > 0
     # the 4-copy cliques are present with exact jaccard 1.0
-    assert sum(1 for _, _, j in new if j == 1.0) >= 3 * (4 * 3 // 2)
+    cliques = {(a, b) for a, b, j in new if j == 1.0}
+    assert len(cliques) >= 3 * (4 * 3 // 2)
 
-    pruned_new = _ngram_norm(
+    pruned = _ngram_norm(
         dedup.ngram_jaccard_pairs(mk(int_ids), threshold=0.3, max_doc_freq=3).to_pandas()
     )
-    pruned_old = _ngram_norm(
-        dedup.ngram_jaccard_pairs(
-            mk(int_ids), threshold=0.3, max_doc_freq=3, collapse_identical=False
-        ).to_pandas()
-    )
-    assert set(pruned_old) <= set(pruned_new) <= set(new)
+    assert set(pruned) <= set(new)
+    assert cliques <= {(a, b) for a, b, j in pruned}
 
     str_ids = [f"d{i:04d}" for i in range(len(int_ids))]
     s_new = _ngram_norm(dedup.ngram_jaccard_pairs(mk(str_ids), threshold=0.3).to_pandas())
-    s_old = _ngram_norm(
-        dedup.ngram_jaccard_pairs(mk(str_ids), threshold=0.3, collapse_identical=False).to_pandas()
-    )
-    assert s_new == s_old and len(s_new) == len(new)
+    assert s_new == _ngram_all_pairs(str_ids, texts, 0.3) and len(s_new) == len(new)
 
 
 def test_ngram_collapse_clique_guard_fires():
