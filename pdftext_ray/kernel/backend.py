@@ -1,11 +1,11 @@
 """Decoder backend seam — the adapter boundary for real page input.
 
-Everything in the kernel from M1 (word dedup) onward consumes a
-``DecodedPage``; a backend's only job is to turn ONE page of some source
-format into that. The shared transform (:func:`kernel.decode.decode_raw`)
-does the full pdfium-semantics work — origin shift, y-flip, rotation,
-loosebox gate, flatten merge — over a :class:`payload.RawPage` of raw
-pdfium-space columns, so an adapter only has to FILL a RawPage.
+A backend's only job is to FILL a :class:`payload.RawPage` of raw
+pdfium-space columns from ONE page of some source format (``parse``). The
+kernel's batch pass (:func:`kernel.decode.decode_pages`, run by
+:func:`kernel.document.process_batch`) does the full pdfium-semantics work
+— origin shift, y-flip, rotation, loosebox gate, flatten merge, word dedup —
+over the RawPages of every page in a batch.
 
 A real pypdfium2 adapter maps, per page (reference file:line):
 
@@ -34,7 +34,8 @@ A real pypdfium2 adapter maps, per page (reference file:line):
 Two backends ship: :class:`PayloadBackend` (the synthetic char-stream
 payload, the default everywhere) and :class:`CharRecordsBackend` (a JSON
 char-records format shaped exactly like what a ctypes adapter assembles —
-the toy proof that a second input format needs no kernel changes).
+the toy proof that a second input format needs no kernel changes). A page
+that fails to parse fails only its document.
 """
 
 from __future__ import annotations
@@ -44,27 +45,22 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from pdftext_ray.kernel.decode import DecodedPage, decode_raw, dedup_decoded
 from pdftext_ray.payload import RawPage, parse_payload
 
 
 @runtime_checkable
 class DecoderBackend(Protocol):
-    """One page of source input → a word-deduped DecodedPage."""
+    """One page of source input → a RawPage of raw pdfium-space columns."""
 
-    def decode(
-        self, page_source: str, quote_loosebox: bool = True, flatten: bool = False
-    ) -> DecodedPage:
+    def parse(self, page_source: str) -> RawPage:
         ...
 
 
 class PayloadBackend:
     """Default backend: the synthetic char-stream payload format."""
 
-    def decode(
-        self, page_source: str, quote_loosebox: bool = True, flatten: bool = False
-    ) -> DecodedPage:
-        return dedup_decoded(decode_raw(parse_payload(page_source), quote_loosebox, flatten))
+    def parse(self, page_source: str) -> RawPage:
+        return parse_payload(page_source)
 
 
 class CharRecordsBackend:
@@ -81,14 +77,12 @@ class CharRecordsBackend:
                     "dest_pos": [x,y]|null, "url": ...|null}, ...],
          "tables": [[..4..], ...], "img_size": [w,h]|null}
 
-    It only FILLS a RawPage; the shared ``decode_raw`` + ``dedup_decoded``
-    do all coordinate/flatten/dedup work — no kernel change for a new
-    input format.
+    It only FILLS a RawPage; the kernel's batch pass does all
+    coordinate/flatten/dedup work — no kernel change for a new input
+    format.
     """
 
-    def decode(
-        self, page_source: str, quote_loosebox: bool = True, flatten: bool = False
-    ) -> DecodedPage:
+    def parse(self, page_source: str) -> RawPage:
         d = json.loads(page_source)
         raw = RawPage()
         raw.page_idx = int(d.get("page", 0))
@@ -125,7 +119,7 @@ class CharRecordsBackend:
         ]
         raw.tables = [[float(v) for v in t] for t in d.get("tables", [])]
         raw.img_size = d.get("img_size")
-        return dedup_decoded(decode_raw(raw, quote_loosebox, flatten))
+        return raw
 
 
 def _np_cols(cp, cf, cr, cb):

@@ -14,8 +14,12 @@ Reimplements (with citations) the reference semantics:
 * M5 ``get_blocks`` — page-adaptive median gap thresholds + merge exceptions +
   final overlapping-merge pass (pdftext/pdf/pages.py:167-257).
 
-These folds are inherently sequential per page (SURVEY.md §7 "hard parts");
-they vectorize across rows of a batch, not within a page. Chars are tuples
+M3-M5 are inherently sequential per page (SURVEY.md §7 "hard parts") and
+run page by page. M2's breaks are not: :func:`span_cuts` finds them once
+over every page of a batch (each page starts a span), and
+:func:`page_spans` shapes each page's spans over its own arrays. The
+scalar ``deduplicate_chars``/``get_spans`` folds are the char-tuple
+references the vectorized passes are tested against. Chars are tuples
 ``(ch, bbox, rot, font, char_idx)`` (see kernel/decode.py); spans/lines/blocks
 are small dicts.
 """
@@ -180,8 +184,37 @@ def get_spans_from_arrays(
     superscript_height_threshold: float = 0.8,
     line_distance_threshold: float = 0.1,
 ) -> List[dict]:
-    """M2 on PageArrays (kernel/decode.py) — semantics identical to
-    ``get_spans``, computed vectorized.
+    """M2 on one page's PageArrays (kernel/decode.py): :func:`span_cuts` on
+    a batch of one page, shaped by :func:`page_spans`. Semantics identical
+    to ``get_spans``."""
+    import numpy as np
+
+    if len(arrays) == 0:
+        return []
+    cuts = span_cuts(arrays, np.array([0, len(arrays)]), superscript_height_threshold,
+                     line_distance_threshold)
+    return page_spans(cuts, 0, arrays)
+
+
+class SpanCuts:
+    """The spans of a batch of pages, over all its spans: char
+    ``starts``/``ends`` (into the batch), ``bbox`` (an array), ``rotation``,
+    font id ``cf``, first/last char ``idx``; page ``p`` owns spans
+    ``span_off[p]:span_off[p+1]`` and chars from ``page_starts[p]``."""
+
+    __slots__ = ("text", "page_starts", "span_off", "starts", "ends", "bbox", "rotation",
+                 "cf", "idx_start", "idx_end")
+
+
+def span_cuts(
+    cols,
+    page_starts,
+    superscript_height_threshold: float = 0.8,
+    line_distance_threshold: float = 0.1,
+) -> SpanCuts:
+    """M2 break detection, once over a batch's concatenated chars ``cols``
+    (a PageArrays; ``page_starts`` holds the len(pages) + 1 page offsets).
+    Each page starts a span, so no span crosses a page.
 
     Font/rotation-change and trailing-``\\x02``/``\\n`` breaks are adjacent-
     pair conditions (one numpy pass). The superscript-geometry break depends
@@ -195,80 +228,88 @@ def get_spans_from_arrays(
     """
     import numpy as np
 
-    n = len(arrays)
-    if n == 0:
-        return []
-    cp, cf, cr, boxes, text = arrays.cp, arrays.cf, arrays.cr, arrays.boxes, arrays.text
+    n = len(cols)
+    cp, cf, cr, boxes = cols.cp, cols.cf, cols.cr, cols.boxes
     ldt = line_distance_threshold
     sht = superscript_height_threshold
 
     base = np.empty(n, dtype=bool)
-    base[0] = True
+    base[:1] = True
     base[1:] = (
         (cf[1:] != cf[:-1])
         | (cr[1:] != cr[:-1])
         | (cp[:-1] == 2)   # \x02
         | (cp[:-1] == 10)  # \n
     )
+    base[page_starts[:-1][page_starts[:-1] < n]] = True
     starts = np.nonzero(base)[0]
-    ends = np.append(starts[1:], n)
 
     b0, b1, b2, b3 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     maybe = np.zeros(n, dtype=bool)
     maybe[1:] = (b1[1:] < b1[:-1] - (b3[:-1] - b1[:-1]) * ldt) & (b0[1:] > b2[:-1])
     maybe[starts] = False  # pair crossing a base boundary is never a span break
-    seg_flag = np.logical_or.reduceat(maybe, starts)
+    if maybe.any():
+        ends = np.append(starts[1:], n)
+        extra = []
+        for w in np.nonzero(np.logical_or.reduceat(maybe, starts))[0].tolist():
+            s, e = int(starts[w]), int(ends[w])
+            while e - s > 1:
+                sub = boxes[s:e]
+                ry1 = np.minimum.accumulate(sub[:, 1])[:-1]
+                ry2 = np.maximum.accumulate(sub[:, 3])[:-1]
+                rx2 = np.maximum.accumulate(sub[:, 2])[:-1]
+                cb = sub[1:]
+                cond = (
+                    (cb[:, 1] < ry1 - (ry2 - ry1) * ldt)
+                    & (cb[:, 3] < (ry2 - ry1) * sht + ry1)
+                    & (cb[:, 0] > rx2)
+                )
+                hits = np.nonzero(cond)[0]
+                if hits.size == 0:
+                    break
+                s += 1 + int(hits[0])
+                extra.append(s)
+        if extra:
+            starts = np.sort(np.concatenate([starts, np.array(extra, dtype=starts.dtype)]))
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = n
 
-    ranges: List[tuple] = []
-    for w in range(len(starts)):
-        s, e = int(starts[w]), int(ends[w])
-        if not seg_flag[w]:
-            ranges.append((s, e))
-            continue
-        while True:
-            if e - s <= 1:
-                ranges.append((s, e))
-                break
-            sub = boxes[s:e]
-            ry1 = np.minimum.accumulate(sub[:, 1])[:-1]
-            ry2 = np.maximum.accumulate(sub[:, 3])[:-1]
-            rx2 = np.maximum.accumulate(sub[:, 2])[:-1]
-            cb = sub[1:]
-            cond = (
-                (cb[:, 1] < ry1 - (ry2 - ry1) * ldt)
-                & (cb[:, 3] < (ry2 - ry1) * sht + ry1)
-                & (cb[:, 0] > rx2)
-            )
-            hits = np.nonzero(cond)[0]
-            if hits.size == 0:
-                ranges.append((s, e))
-                break
-            k = s + 1 + int(hits[0])
-            ranges.append((s, k))
-            s = k
+    cuts = SpanCuts()
+    cuts.text = cols.text
+    cuts.page_starts = np.asarray(page_starts).tolist()
+    cuts.span_off = np.searchsorted(starts, page_starts).tolist()
+    cuts.starts, cuts.ends = starts.tolist(), ends.tolist()
+    mins = np.minimum.reduceat(boxes[:, :2], starts, axis=0)
+    maxs = np.maximum.reduceat(boxes[:, 2:], starts, axis=0)
+    cuts.bbox = np.concatenate([mins, maxs], axis=1)
+    cuts.rotation = cr[starts].tolist()
+    cuts.cf = cf[starts].tolist()
+    cuts.idx_start = cols.idx[starts].tolist()
+    cuts.idx_end = cols.idx[ends - 1].tolist()
+    return cuts
 
+
+def page_spans(cuts: SpanCuts, p: int, arrays) -> List[dict]:
+    """The span dicts of page ``p`` of ``cuts``; ``arrays`` is the page's
+    own PageArrays, which holds its fonts and backs each span's lazy chars."""
     from pdftext_ray.kernel.decode import LazyChars
 
-    r_starts = np.fromiter((s for s, _ in ranges), dtype=np.int64, count=len(ranges))
-    mins = np.minimum.reduceat(boxes[:, :2], r_starts, axis=0)
-    maxs = np.maximum.reduceat(boxes[:, 2:], r_starts, axis=0)
-    bbs = np.concatenate([mins, maxs], axis=1).tolist()
-
-    fonts = arrays.fonts
-    cf_l = cf[r_starts].tolist()
-    cr_l = cr[r_starts].tolist()
-    idx = arrays.idx
+    text, fonts, ps = cuts.text, arrays.fonts, cuts.page_starts[p]
+    a, b = cuts.span_off[p], cuts.span_off[p + 1]
+    bbox = cuts.bbox[a:b].tolist()  # per page: a batch of small lists would outlive its docs
     spans: List[dict] = []
-    for j, (s, e) in enumerate(ranges):
+    for j in range(a, b):
+        s, e = cuts.starts[j], cuts.ends[j]
         spans.append(
             {
                 "text": text[s:e],
-                "bbox": bbs[j],
-                "rotation": cr_l[j],
-                "font": fonts[cf_l[j]],
-                "char_start_idx": int(idx[s]),
-                "char_end_idx": int(idx[e - 1]),
-                "chars": LazyChars(arrays, s, e),
+                "bbox": bbox[j - a],
+                "rotation": cuts.rotation[j],
+                "font": fonts[cuts.cf[j]],
+                "char_start_idx": cuts.idx_start[j],
+                "char_end_idx": cuts.idx_end[j],
+                "chars": LazyChars(arrays, s - ps, e - ps),
                 "url": "",
                 "superscript": False,
                 "subscript": False,

@@ -1,7 +1,9 @@
-"""Char-level decode stage — the pypdfium2-style S3 transform.
+"""Char-level decode stage — the pypdfium2-style S3 transform and M1 word
+dedup, run once over every page of a batch (:func:`decode_pages`; the
+single-page functions are batches of one).
 
-Parses a page payload (pdftext_ray/payload.py) and applies the exact
-coordinate semantics of pdftext's pdfium adapter:
+Applies to parsed pages (pdftext_ray/payload.py, kernel/backend.py) the
+exact coordinate semantics of pdftext's pdfium adapter:
 
 * origin shift + y-flip into top-left coords, min/max normalisation, then
   rotation into the page rotation (pdftext/pdf/chars.py:26-35);
@@ -144,101 +146,192 @@ def _scale_rect(rect, x_start, y_start, page_width, page_height, page_rotation, 
 
 def decode_page(payload: str, quote_loosebox: bool = True, flatten: bool = False) -> DecodedPage:
     """Parse the synthetic payload format, then run the shared raw→decoded
-    transform. Alternative input formats plug in at :func:`decode_raw` via a
-    DecoderBackend (kernel/backend.py) — they build a RawPage (raw
-    pdfium-space columns) however they like and share this exact transform."""
+    transform on it (no word dedup)."""
     return decode_raw(parse_payload(payload), quote_loosebox, flatten)
 
 
 def decode_raw(raw: RawPage, quote_loosebox: bool = True, flatten: bool = False) -> DecodedPage:
+    """:func:`decode_pages` on one RawPage, without word dedup."""
+    return _only_page(decode_pages([raw], quote_loosebox, flatten, dedup=False))
+
+
+def decode_page_dedup(payload: str, quote_loosebox: bool = True, flatten: bool = False) -> DecodedPage:
+    """:func:`decode_pages` on one payload: decode plus M1 word dedup.
+    Equivalent to decode_page + cluster.deduplicate_chars (property-tested
+    on every corpus case)."""
+    return _only_page(decode_pages([parse_payload(payload)], quote_loosebox, flatten))
+
+
+def _only_page(batch: DecodedBatch) -> DecodedPage:
+    page = batch.pages[0]
+    if isinstance(page, Exception):
+        raise page
+    return page
+
+
+class DecodedBatch:
+    """Every page of a batch decoded in one pass.
+
+    ``cols`` is a PageArrays over all pages' chars, concatenated (``idx``
+    is local to each page, ``fonts`` is None); page ``p`` owns
+    ``cols[starts[p]:starts[p+1]]``. ``pages[p]`` is the page's
+    DecodedPage, whose ``arrays`` are views of that slice (None when the
+    page has no chars), or the exception that failed the page."""
+
+    __slots__ = ("pages", "cols", "starts")
+
+
+def decode_pages(raws: list, quote_loosebox: bool = True, flatten: bool = False,
+                 dedup: bool = True) -> DecodedBatch:
+    """The S3 transform (and, with ``dedup``, the M1 word dedup) over every
+    page of a batch at once.
+
+    ``raws`` are RawPages, or the exception that failed a page's parse.
+    Per page, a Python pass (:func:`_open_page`) checks the char columns,
+    canonicalizes font ids and resolves the header, media and links; a
+    failed check becomes the page's exception, and its chars stay out of
+    the batch. Then the coordinate transform, the text decode (a page with
+    a codepoint utf-32 rejects fails with that decode error) and the word
+    dedup run once over the concatenated columns, with per-char page
+    parameters; every step that compares chars keeps to one page (the page
+    id is in the dedup key, and each page starts a word). Last, each page
+    gets its own PageArrays of views, so a page never carries the batch's
+    arrays (``stages.extract.PageExtractor`` pickles whole pages)."""
     import numpy as np
 
-    # char columns as LOCALS — decode_raw must never mutate the caller's
-    # RawPage (a backend may decode one parsed page under several configs;
-    # in-place flatten would leak form chars into later calls — round-3
-    # review)
-    r_cp, r_cf, r_cr = raw.cp, raw.cf, raw.cr
-    r_cb = raw.cb.reshape(-1, 4)
+    pages, fonts, heads = [], [], []
+    pieces = ([], [], [], [])  # cp, cf, cr, cb arrays in page order
+    for raw in raws:
+        page, page_fonts, head = raw, None, (0.0, 0.0, 0, 0, 0, 0)
+        if not isinstance(raw, Exception):
+            try:
+                page, page_fonts, head = _open_page(raw, flatten, pieces)
+            except Exception as e:
+                page = e
+        pages.append(page)
+        fonts.append(page_fonts)
+        heads.append(head)
+
+    batch = DecodedBatch()
+    batch.pages = pages
+    hd = np.array(heads, dtype=np.float64).reshape(-1, 6)
+    lens = hd[:, 5].astype(np.int64)
+    batch.starts = starts = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(lens, out=starts[1:])
+    n = int(starts[-1])
+    cols = batch.cols = PageArrays()
+    cols.fonts = None
+    if n == 0:
+        cols.cp = cols.cf = cols.idx = np.empty(0, dtype=np.int64)
+        cols.cr = np.empty(0, dtype=np.float64)
+        cols.boxes = np.empty((0, 4), dtype=np.float64)
+        cols.text = ""
+        return batch
+    cp, cf, cr, cb = (np.concatenate(c) for c in pieces)
+
+    # codepoints → str at C speed (no BMP restriction: utf-32 round-trips
+    # any codepoint). A page holding one that utf-32 rejects fails with the
+    # decode error of its own chars; in the batch they become spaces.
+    u = cp.astype("<u4")
+    bad = (u > 0x10FFFF) | ((u >= 0xD800) & (u < 0xE000))
+    if bad.any():
+        for p in np.unique(np.searchsorted(starts, np.nonzero(bad)[0], side="right") - 1).tolist():
+            try:
+                u[starts[p]:starts[p + 1]].tobytes().decode("utf-32-le")
+            except UnicodeDecodeError as e:
+                pages[p] = e
+        u[bad] = 32
+
+    # the S3 coordinate transform, vectorized over the batch with per-char
+    # page parameters (float64 numpy ops are bit-identical to the scalar
+    # Python arithmetic they replace)
+    x0, y0, pw, ph = (np.repeat(hd[:, k], lens) for k in range(4))
+    cx1, cy1, cx2, cy2 = cb[:, 0], cb[:, 1], cb[:, 2], cb[:, 3]
+    tight = ~((cr == 0) & ((cp != 39) | quote_loosebox))  # 39 == "'"
+    if tight.any():
+        # deterministic synthetic tight box: bottom raised by 10% height
+        cy1 = np.where(tight, cy1 + 0.1 * (cy2 - cy1), cy1)
+    cx1 = cx1 - x0
+    cx2 = cx2 - x0
+    ty1 = ph - (cy1 - y0)
+    ty2 = ph - (cy2 - y0)
+    boxes = np.stack(
+        [np.minimum(cx1, cx2), np.minimum(ty1, ty2), np.maximum(cx1, cx2), np.maximum(ty1, ty2)], axis=1
+    )
+    if hd[:, 4].any():
+        # into the page rotation (each page's was checked by _open_page)
+        rot = np.repeat(hd[:, 4], lens)
+        for r in (90, 180, 270):
+            sel = np.nonzero(rot == r)[0]
+            if len(sel):
+                boxes[sel] = np.stack(_rotate_cols(r, *boxes[sel].T, pw[sel], ph[sel]), axis=1)
+    cols.boxes = boxes
+    cols.cp, cols.cf, cols.cr = cp, cf, cr
+    cols.idx = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], lens)
+    if dedup:
+        u = _dedup_words(batch, u)
+    cols.text = u.tobytes().decode("utf-32-le")
+
+    # the cut: each page its own PageArrays of views, read-only, as no page
+    # may write into the batch (and a read-only array pickles as bytes,
+    # 4 bytes shorter than a bytearray)
+    cols, bounds = batch.cols, batch.starts.tolist()
+    for a in (cols.cp, cols.cf, cols.cr, cols.boxes, cols.idx):
+        a.flags.writeable = False
+    for p, page in enumerate(pages):
+        s, e = bounds[p], bounds[p + 1]
+        if e == s or isinstance(page, Exception):
+            continue
+        arr = page.arrays = PageArrays()
+        arr.cp, arr.cf, arr.cr = cols.cp[s:e], cols.cf[s:e], cols.cr[s:e]
+        arr.boxes, arr.idx, arr.text = cols.boxes[s:e], cols.idx[s:e], cols.text[s:e]
+        arr.fonts = fonts[p]
+    return batch
+
+
+def _rotate_cols(rotation, bx1, by1, bx2, by2, page_width, page_height):
+    """Char box columns rotated into the page rotation (the char-box form of
+    ``geometry.rotate``, without its min/max normalisation)."""
+    if rotation == 90:
+        return page_height - by2, bx1, page_height - by1, bx2
+    if rotation == 180:
+        return page_width - bx2, page_height - by2, page_width - bx1, page_height - by1
+    return by1, page_width - bx2, by2, page_width - bx1
+
+
+def _open_page(raw: RawPage, flatten: bool, pieces: tuple):
+    """One page's Python pass of :func:`decode_pages`: check its char
+    columns and append them to ``pieces``; return its DecodedPage (media,
+    links, tables; ``arrays`` set by the cut), its fonts and its header
+    ``(x_start, y_start, width, height, rotation, n_chars)``. Never mutates
+    ``raw`` (a backend may decode one parsed page under several configs)."""
+    parts = [(raw.cp, raw.cf, raw.cr, raw.cb.reshape(-1, 4))]
     if flatten and len(raw.acp):
         # FPDFPage_Flatten analog (reference pdftext/pdf/utils.py:14-17 +
         # pdftext/extraction.py:18-24): form-field appearance streams become
         # page content, APPENDED after the existing content stream — so the
         # whole downstream chain (dedup/spans/lines/blocks) sees the form
         # chars as ordinary chars. flatten=False leaves them invisible.
-        r_cp = np.concatenate([r_cp, raw.acp])
-        r_cf = np.concatenate([r_cf, raw.acf])
-        r_cr = np.concatenate([r_cr, raw.acr])
-        r_cb = np.concatenate([r_cb, raw.acb])
+        parts.append((raw.acp, raw.acf, raw.acr, raw.acb.reshape(-1, 4)))
+    n, nf, nr, nb = map(sum, zip(*[map(len, pt) for pt in parts]))
+    if n and (nf != n or nr != n or nb != n):
+        # a truncated/corrupt binary column yields short arrays; surface
+        # that as an error instead of silently losing text
+        raise ValueError(
+            f"corrupt payload: char arrays disagree (cp={n}, cf={nf}, cr={nr}, cb={nb})"
+        )
+    if n and raw.rotation not in (0, 90, 180, 270):
+        raise ValueError("Rotation must be one of [0, 90, 180, 270] degrees.")
+
     out = DecodedPage()
     out.page_idx = raw.page_idx
     out.page_bbox = raw.page_bbox
     out.rotation = raw.rotation
-
     x_start, y_start, x_end, y_end = raw.page_bbox
     page_width = math.ceil(abs(x_end - x_start))
     page_height = math.ceil(abs(y_end - y_start))
     out.width = page_width
     out.height = page_height
-
-    n = len(r_cp)
-    if n and (len(r_cf) != n or len(r_cr) != n or r_cb.shape[0] != n):
-        # a truncated/corrupt binary column yields short arrays; surface
-        # that as an error instead of silently losing text
-        raise ValueError(
-            f"corrupt payload: char arrays disagree (cp={n}, cf={len(r_cf)}, "
-            f"cr={len(r_cr)}, cb={r_cb.shape[0]})"
-        )
-    if n:
-        # the whole S3 coordinate transform runs vectorized (float64 numpy ops
-        # are bit-identical to the scalar Python arithmetic they replace)
-        cb = r_cb
-        cx1, cy1, cx2, cy2 = cb[:, 0].copy(), cb[:, 1].copy(), cb[:, 2], cb[:, 3].copy()
-        tight = ~((r_cr == 0) & ((r_cp != 39) | quote_loosebox))  # 39 == "'"
-        if tight.any():
-            # deterministic synthetic tight box: bottom raised by 10% height
-            cy1 = np.where(tight, cy1 + 0.1 * (cy2 - cy1), cy1)
-        cx1 = cx1 - x_start
-        cx2 = cx2 - x_start
-        ty1 = page_height - (cy1 - y_start)
-        ty2 = page_height - (cy2 - y_start)
-        bx1 = np.minimum(cx1, cx2)
-        by1 = np.minimum(ty1, ty2)
-        bx2 = np.maximum(cx1, cx2)
-        by2 = np.maximum(ty1, ty2)
-        boxes = np.stack([bx1, by1, bx2, by2], axis=1)
-        if raw.rotation:
-            rot = raw.rotation
-            if rot == 90:
-                boxes = np.stack([page_height - by2, bx1, page_height - by1, bx2], axis=1)
-            elif rot == 180:
-                boxes = np.stack([page_width - bx2, page_height - by2, page_width - bx1, page_height - by1], axis=1)
-            elif rot == 270:
-                boxes = np.stack([by1, page_width - bx2, by2, page_width - bx1], axis=1)
-            else:
-                raise ValueError("Rotation must be one of [0, 90, 180, 270] degrees.")
-        fonts = raw.fonts
-        # canonicalize font ids up front so equal font TUPLES share one id —
-        # id equality then matches the reference's field-wise font compare in
-        # every downstream fold (word dedup, span breaks)
-        cf = r_cf
-        if len(set(fonts)) != len(fonts):
-            canon: dict = {}
-            remap = np.empty(len(fonts), dtype=np.int64)
-            for i, f in enumerate(fonts):
-                remap[i] = canon.setdefault(f, i)
-            cf = remap[cf]
-        arr = PageArrays()
-        arr.cp = r_cp
-        arr.boxes = boxes
-        arr.cr = r_cr
-        arr.cf = cf
-        arr.fonts = fonts
-        arr.idx = np.arange(n, dtype=np.int64)
-        # codepoints → str at C speed (no BMP restriction: utf-32 round-trips
-        # any codepoint, and payload chars are never surrogates)
-        arr.text = r_cp.astype("<u4").tobytes().decode("utf-32-le")
-        out.arrays = arr
-
     # media boxes arrive in top-left PRE-rotation layout coords and get the
     # same rotation treatment as char boxes (one coordinate convention for
     # every payload producer)
@@ -251,30 +344,41 @@ def decode_raw(raw: RawPage, quote_loosebox: bool = True, flatten: bool = False)
         out.media = raw.media
     out.tables = raw.tables
     out.img_size = raw.img_size
-    return _finish_links(out, raw, x_start, y_start, page_width, page_height)
+    _finish_links(out, raw, x_start, y_start, page_width, page_height)
+
+    fonts = raw.fonts
+    if n and len(set(fonts)) != len(fonts):
+        # canonicalize font ids so equal font TUPLES share one id — id
+        # equality then matches the reference's field-wise font compare in
+        # every downstream fold (word dedup, span breaks). Ids are
+        # page-local: every batch-wide compare stays within a page.
+        import numpy as np
+
+        canon: dict = {}
+        remap = np.empty(len(fonts), dtype=np.int64)
+        for i, f in enumerate(fonts):
+            remap[i] = canon.setdefault(f, i)
+        parts = [(cp, remap[cf], cr, cb) for cp, cf, cr, cb in parts]
+    if n:
+        for pt in parts:
+            for k in range(4):
+                pieces[k].append(pt[k])
+    return out, fonts, (x_start, y_start, page_width, page_height, raw.rotation, n)
 
 
-def decode_page_dedup(payload: str, quote_loosebox: bool = True, flatten: bool = False) -> DecodedPage:
-    """decode_page fused with vectorized M1 word dedup.
+def _dedup_words(batch: DecodedBatch, u):
+    """M1 word dedup over the whole batch, in place; returns the kept chars'
+    utf-32 codepoints ``u``.
 
-    The reference's word fold (pdftext/pdf/chars.py:58-115) breaks a word when
-    its last char is \\n/space/\\x02 or the font/rotation changes — all
-    conditions on ADJACENT chars, so word boundaries compute in one numpy pass
-    over the decoded arrays; word bboxes via ``minimum/maximum.reduceat``;
-    texts by slicing one joined string. Only the keep-first key dedup is a
-    (short) Python loop over words. Equivalent to decode_page +
-    cluster.deduplicate_chars (property-tested on every corpus case)."""
-    return dedup_decoded(decode_page(payload, quote_loosebox, flatten))
-
-
-def dedup_decoded(page: DecodedPage) -> DecodedPage:
-    """The fused vectorized M1 word dedup over an already-decoded page —
-    backend-agnostic half of :func:`decode_page_dedup`."""
+    The reference's word fold (pdftext/pdf/chars.py:58-115) breaks a word
+    when its last char is \\n/space/\\x02 or the font/rotation changes — all
+    conditions on ADJACENT chars, so word boundaries compute in one numpy
+    pass (each page also starts a word); word bboxes via
+    ``minimum/maximum.reduceat``. Only words whose key may repeat within
+    their page reach the keep-first Python loop."""
     import numpy as np
 
-    arr = page.arrays
-    if arr is None:
-        return page
+    arr, starts = batch.cols, batch.starts
     n = len(arr)
     cp, cf, cr, boxes = arr.cp, arr.cf, arr.cr, arr.boxes
 
@@ -286,73 +390,68 @@ def dedup_decoded(page: DecodedPage) -> DecodedPage:
         | (cf[1:] != cf[:-1])
         | (cr[1:] != cr[:-1])
     )
-    starts = np.nonzero(brk)[0]
-    ends = np.append(starts[1:], n)
+    brk[starts[:-1][starts[:-1] < n]] = True
+    wstarts = np.nonzero(brk)[0]
+    wpage = np.searchsorted(starts, wstarts, side="right") - 1
 
-    mins = np.minimum.reduceat(boxes[:, :2], starts, axis=0)
-    maxs = np.maximum.reduceat(boxes[:, 2:], starts, axis=0)
-
-    nw = len(starts)
-    # Fast path: if no two words share a rounded (bbox, rotation, font) key,
+    mins = np.minimum.reduceat(boxes[:, :2], wstarts, axis=0)
+    maxs = np.maximum.reduceat(boxes[:, 2:], wstarts, axis=0)
+    # If no two words of a page share a rounded (bbox, rotation, font) key,
     # the full dedup key (which only ADDS the text field) cannot collide
-    # either, so the page has no duplicates and the repr-key loop is skipped.
-    # Byte-view uniqueness matches repr-key distinctness exactly for non-NaN
-    # doubles (repr is injective; -0.0 vs 0.0 differ in both); NaN payloads
-    # alias under repr but not bytes, so any NaN falls back to the loop.
+    # either, and no word is dropped. Byte-view uniqueness matches repr-key
+    # distinctness exactly for non-NaN doubles (repr is injective; -0.0 vs
+    # 0.0 differ in both); NaN payloads alias under repr but not bytes, so
+    # every word of a page with a NaN key goes to the exact loop.
     mins_r = np.round(mins, 0)
     maxs_r = np.round(maxs, 0)
-    km = np.column_stack([mins_r, maxs_r, cr[starts], cf[starts].astype(np.float64)])
-    suspects = None
-    if not np.isnan(km).any():
-        # mix the 6 key columns' BIT PATTERNS into one int64 — equal keys
-        # always hash equal, so hash-duplicates are a SUPERSET of true
-        # duplicates (collisions only send extra words to the exact loop)
-        bits = km.view(np.uint64)
-        h = bits[:, 0]
-        for c in range(1, 6):
-            h = h * np.uint64(0x9E3779B97F4A7C15) + bits[:, c]
-        srt = np.sort(h)
-        if not (srt[1:] == srt[:-1]).any():
-            return page
-        dup_vals = srt[:-1][srt[1:] == srt[:-1]]
-        # words in equal full-key groups necessarily share the bbox/rot/font
-        # part, so only members of colliding hash groups need exact keys
-        suspects = np.isin(h, dup_vals)
+    km = np.column_stack([mins_r, maxs_r, cr[wstarts], cf[wstarts].astype(np.float64)])
+    # mix the 6 key columns' BIT PATTERNS and the page id into one int64 —
+    # equal keys always hash equal, so hash-duplicates are a SUPERSET of
+    # true duplicates (collisions only send extra words to the exact loop)
+    bits = km.view(np.uint64)
+    h = wpage.astype(np.uint64)
+    for c in range(6):
+        h = h * np.uint64(0x9E3779B97F4A7C15) + bits[:, c]
+    srt = np.sort(h)
+    dup = srt[1:] == srt[:-1]
+    nan_w = np.isnan(km).any(axis=1)
+    if not dup.any() and not nan_w.any():
+        return u
+    suspects = np.isin(h, srt[:-1][dup])
+    if nan_w.any():
+        suspects |= np.isin(wpage, wpage[nan_w])
 
-    full = arr.text
+    wends = np.append(wstarts[1:], n)
     seen = set()
-    kept_ranges = []
-    any_dropped = False
-    for w in range(nw):
-        s0, e0 = int(starts[w]), int(ends[w])
-        if suspects is not None and not suspects[w]:
-            kept_ranges.append((s0, e0))
-            continue
+    dropped = []
+    for w in np.nonzero(suspects)[0].tolist():
+        s0, e0 = int(wstarts[w]), int(wends[w])
         key = (
+            int(wpage[w]),
             # string reprs, not floats: the reference's f-string key keeps
             # "-0.0" distinct from "0.0"
             repr(round(float(mins_r[w, 0]), 0)), repr(round(float(mins_r[w, 1]), 0)),
             repr(round(float(maxs_r[w, 0]), 0)), repr(round(float(maxs_r[w, 1]), 0)),
-            full[s0:e0], float(cr[s0]), int(cf[s0]),
+            u[s0:e0].tobytes().decode("utf-32-le"), float(cr[s0]), int(cf[s0]),
         )
-        if key not in seen:
-            seen.add(key)
-            kept_ranges.append((s0, e0))
+        if key in seen:
+            dropped.append(w)
         else:
-            any_dropped = True
-
-    if any_dropped:
-        keep = np.zeros(n, dtype=bool)
-        for s0, e0 in kept_ranges:
-            keep[s0:e0] = True
-        arr.cp = cp[keep]
-        arr.cf = cf[keep]
-        arr.cr = cr[keep]
-        arr.boxes = boxes[keep]
-        arr.idx = arr.idx[keep]  # ORIGINAL page char indices survive the drop
-        arr.text = "".join(full[s0:e0] for s0, e0 in kept_ranges)
-        page._chars = None  # invalidate any materialized tuple view
-    return page
+            seen.add(key)
+    if not dropped:
+        return u
+    keep_w = np.ones(len(wstarts), dtype=bool)
+    keep_w[dropped] = False
+    keep = np.repeat(keep_w, wends - wstarts)
+    arr.cp = cp[keep]
+    arr.cf = cf[keep]
+    arr.cr = cr[keep]
+    arr.boxes = boxes[keep]
+    arr.idx = arr.idx[keep]  # ORIGINAL page char indices survive the drop
+    kept = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    batch.starts = kept[starts]
+    return u[keep]
 
 
 def _finish_links(out, raw, x_start, y_start, page_width, page_height):

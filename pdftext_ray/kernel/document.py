@@ -1,25 +1,28 @@
 """Per-document extraction: page processing, output shaping, span sequence.
 
 Mirrors the reference pipeline lifecycle (pdftext/extraction.py:93-155,
-pdftext/pdf/pages.py:260-301) on one document:
+pdftext/pdf/pages.py:260-301):
 
     decode (S3) → deduplicate_chars (M1) → get_spans (M2) → get_lines (M3)
     → assign_scripts (M4) → get_blocks (M5) → links (J1-J4)
     → output shaping (M8/M9) / merge_text (M10) / span sequence (north rule).
 
-``process_document`` is the single-document ORACLE for tests and the exact
-code the Ray Data stages execute per row — orchestration (batching, task
-pools, shuffles) lives in pdftext_ray/stages, semantics live here.
+``process_batch`` is the kernel pass the Ray Data stages run once per Arrow
+batch: S3, M1 and the M2 breaks once over every page of the batch, then
+M2's span shaping and M3-M5 per page. ``process_document``, the
+single-document ORACLE for tests, is the same pass on a batch of one
+document. Orchestration (batching, task pools, shuffles) lives in
+pdftext_ray/stages, semantics live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from pdftext_ray.kernel import cluster, links as klinks
 from pdftext_ray.kernel.backend import PayloadBackend
-from pdftext_ray.kernel.decode import DecodedPage
+from pdftext_ray.kernel.decode import DecodedPage, decode_pages
 from pdftext_ray.kernel.tables import table_cell_text
 from pdftext_ray.textops import handle_hyphens, postprocess_text, sort_blocks
 
@@ -46,15 +49,19 @@ class ExtractConfig:
 DEFAULT_CONFIG = ExtractConfig()
 
 
-def process_page(decoded: DecodedPage, cfg: ExtractConfig = DEFAULT_CONFIG) -> dict:
+def process_page(decoded: DecodedPage, cfg: ExtractConfig = DEFAULT_CONFIG, spans=None) -> dict:
     """Run the per-page clustering chain (pdftext/pdf/pages.py:270-301) on a
-    word-deduped page (M1 runs in the decode). A page with no chars has no
-    spans."""
-    spans = [] if decoded.arrays is None else cluster.get_spans_from_arrays(
-        decoded.arrays,
-        superscript_height_threshold=cfg.superscript_height_threshold,
-        line_distance_threshold=cfg.line_distance_threshold,
-    )
+    word-deduped page (M1 runs in the decode). ``spans`` are the page's M2
+    spans when a batch pass cut them (:func:`process_batch`); otherwise the
+    page is its own batch. A page with no chars has no spans."""
+    if decoded.arrays is None:
+        spans = []
+    elif spans is None:
+        spans = cluster.get_spans_from_arrays(
+            decoded.arrays,
+            superscript_height_threshold=cfg.superscript_height_threshold,
+            line_distance_threshold=cfg.line_distance_threshold,
+        )
     lines = cluster.get_lines(spans)
     cluster.assign_scripts(
         lines,
@@ -88,15 +95,69 @@ def finish_pages(pages: List[dict], cfg: ExtractConfig = DEFAULT_CONFIG) -> List
     return pages
 
 
-def process_document(payloads: List[str], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> List[dict]:
-    """Decode + cluster every page, then finish the pages document-wide.
+def process_batch(docs: List[list], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> Iterator:
+    """One kernel pass over every page of a batch of documents.
 
-    ``backend`` is a kernel.backend.DecoderBackend for alternative page-source
-    formats (None = ``PayloadBackend()``, the synthetic-payload decode)."""
+    ``docs`` holds each document's page sources; ``backend`` is a
+    kernel.backend.DecoderBackend that parses one into a RawPage (None =
+    ``PayloadBackend()``, the synthetic payload). The decode, the word
+    dedup and the span breaks run once over all the batch's pages
+    (``decode.decode_pages``, ``cluster.span_cuts``); lines, scripts and
+    blocks stay per page, because their folds are sequential. Yields, per
+    document, its processed pages (not yet finished: :func:`finish_document`)
+    or the exception that failed it; a failing document never changes
+    another's output.
+
+    Documents are yielded one at a time, so a caller that finishes each
+    before taking the next holds one document's page objects at a time.
+    Holding a whole batch's (and the batch's RawPages) kept enough objects
+    alive through young collections that the garbage collector's
+    older-generation passes took about a fifth of the stage's time, in
+    process on the flagship's documents."""
     backend = backend or PayloadBackend()
-    return finish_pages(
-        [process_page(backend.decode(p, cfg.quote_loosebox, cfg.flatten_pdf), cfg) for p in payloads], cfg
+    raws = []
+    for sources in docs:
+        for src in sources:
+            try:
+                raws.append(backend.parse(src))
+            except Exception as e:
+                raws.append(e)
+    batch = decode_pages(raws, cfg.quote_loosebox, cfg.flatten_pdf)
+    del raws
+    cuts = cluster.span_cuts(
+        batch.cols,
+        batch.starts,
+        superscript_height_threshold=cfg.superscript_height_threshold,
+        line_distance_threshold=cfg.line_distance_threshold,
     )
+    p = 0
+    for sources in docs:
+        try:
+            pages = []
+            for k in range(p, p + len(sources)):
+                page, batch.pages[k] = batch.pages[k], None  # dies with its doc
+                if isinstance(page, Exception):
+                    raise page
+                spans = None if page.arrays is None else cluster.page_spans(cuts, k, page.arrays)
+                pages.append(process_page(page, cfg, spans))
+        except Exception as e:
+            pages = e
+        p += len(sources)
+        yield pages
+
+
+def finish_document(processed, cfg: ExtractConfig = DEFAULT_CONFIG) -> List[dict]:
+    """A document's entry of :func:`process_batch`: its pages finished
+    (:func:`finish_pages`), or the exception that failed it, raised."""
+    if isinstance(processed, Exception):
+        raise processed
+    return finish_pages(processed, cfg)
+
+
+def process_document(payloads: List[str], cfg: ExtractConfig = DEFAULT_CONFIG, backend=None) -> List[dict]:
+    """One document's finished pages: :func:`process_batch` on a batch of
+    one document."""
+    return finish_document(next(process_batch([payloads], cfg, backend)), cfg)
 
 
 def _shape_span(span: dict, keep_chars: bool) -> dict:

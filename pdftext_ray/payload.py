@@ -39,6 +39,7 @@ ever appears raw.
 from __future__ import annotations
 
 import base64
+import binascii
 from typing import List, Optional, Sequence
 from urllib.parse import quote, unquote
 
@@ -160,14 +161,16 @@ class RawPage:
         self.fonts: List[tuple] = []
 
 
+# binascii.a2b_base64: base64.b64decode's non-strict decode without its
+# str → bytes wrapper
 def _b64_f8(s: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8") if s else np.empty(0)
+    return np.frombuffer(binascii.a2b_base64(s), dtype="<f8") if s else np.empty(0)
 
 
 def _b64_i(s: str) -> np.ndarray:
     if not s:
         return np.empty(0, dtype=np.int64)
-    return np.frombuffer(base64.b64decode(s), dtype="<i4").astype(np.int64)
+    return np.frombuffer(binascii.a2b_base64(s), dtype="<i4").astype(np.int64)
 
 
 def parse_payload(payload: str) -> RawPage:

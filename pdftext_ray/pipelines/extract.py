@@ -29,6 +29,17 @@ from pdftext_ray.stages import extract as X
 from pdftext_ray.storage import input_files, read_table
 
 
+# Rows per map batch: docs per fused Extractor call, pages per PageExtractor
+# call; the kernel runs one pass per batch (kernel.document.process_batch).
+# Set from a sweep on a 1-CPU host (CHANGES.md). Fused: in process, batches
+# of 64 and 128 docs cost the same per doc and 256/512 more; each fused
+# batch is one output block, so smaller batches write more parquet bytes
+# (+8% at 64) and larger ones hold more memory (+5% peak RSS at 256), and
+# 128 keeps both. Pages: 32 beat 16 and 128 in process and on extract_heavy.
+DOC_BATCH_SIZE = 128
+PAGE_BATCH_SIZE = 32
+
+
 def _read_parallelism() -> int:
     """Read-task count: ~2 blocks per CPU. The streaming executor pays
     ~10-12 ms of serialized overhead PER TASK (measured: a 256-task pure-burn
@@ -52,7 +63,7 @@ def extract(
     ds: ray.data.Dataset,
     mode: str = "spans",
     cfg: Optional[ExtractConfig] = None,
-    batch_size: int = 128,
+    batch_size: int = DOC_BATCH_SIZE,
     table_inputs=None,
 ) -> ray.data.Dataset:
     """Doc-parallel extraction of ``ds`` in output ``mode`` (no shuffle):
@@ -83,7 +94,9 @@ def extract(
     )
 
 
-def _exploded(ds: ray.data.Dataset, mode: str, cfg, page_batch_size: int = 32) -> ray.data.Dataset:
+def _exploded(
+    ds: ray.data.Dataset, mode: str, cfg, page_batch_size: int = PAGE_BATCH_SIZE
+) -> ray.data.Dataset:
     """The page-exploded branch: explode → per-page decode (PageExtractor)
     → groupby(doc_id).map_groups(assemble), the one shuffle, keyed doc_id.
 
@@ -102,7 +115,7 @@ def _exploded(ds: ray.data.Dataset, mode: str, cfg, page_batch_size: int = 32) -
 def extract_spans_exploded(
     ds: ray.data.Dataset,
     cfg: Optional[ExtractConfig] = None,
-    page_batch_size: int = 128,
+    page_batch_size: int = PAGE_BATCH_SIZE,
 ) -> ray.data.Dataset:
     """Page-exploded extraction of every doc in ``ds`` (see :func:`_exploded`)."""
     return _exploded(ds, "spans", cfg, page_batch_size)

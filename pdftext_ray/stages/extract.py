@@ -4,7 +4,8 @@ Every output mode ("spans", "plain", "paginated", "dict", "tables") is one
 row shaper over a finished document's pages (``_MODES``), and both physical
 plans run it through one error policy (``_rows``):
 
-* **doc-parallel** (default): :class:`Extractor` — one row = one document;
+* **doc-parallel** (default): :class:`Extractor` — one row = one document,
+  one kernel pass (``kernel.document.process_batch``) per Arrow batch;
   embarrassingly parallel, zero shuffles. Right at 10^12-doc scale because
   the unit of skew is a doc. It runs as a task pool:
   ``ds.map_batches(Extractor(mode, cfg), batch_format="pyarrow")`` pickles
@@ -33,14 +34,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pdftext_ray.kernel.decode import decode_page_dedup
 from pdftext_ray.kernel.document import (
     ExtractConfig,
+    finish_document,
     finish_pages,
     merge_text,
     plain_text,
-    process_document,
-    process_page,
+    process_batch,
     shape_dictionary,
     span_output,
 )
@@ -175,8 +175,10 @@ class Extractor:
             cols = (t.column(c).to_pylist() for c in ("doc_id", "page", "tables", "img_size"))
             self.lookup = {(d, p): (tables, size) for d, p, tables, size in zip(*cols)}
         rows = []
-        for doc_id, payloads in zip(batch.column("doc_id").to_pylist(), _batch_payloads(batch)):
-            rows += _rows(self.mode, doc_id, process_document, payloads, self.cfg, self.lookup)
+        processed = process_batch(_batch_payloads(batch), self.cfg)
+        # each doc finished before the next is processed (process_batch)
+        for doc_id, doc in zip(batch.column("doc_id").to_pylist(), processed):
+            rows += _rows(self.mode, doc_id, finish_document, doc, self.cfg, self.lookup)
         return _table(rows, self.schema)
 
 
@@ -230,26 +232,22 @@ def explode_pages(batch: pa.Table) -> pa.Table:
 
 
 class PageExtractor:
-    """Decode + cluster ONE page per row; emits pickled page state for
-    document reassembly (links are document-global so they run post-shuffle)."""
+    """Decode + cluster one page per row, the batch's pages in one kernel
+    pass (``process_batch``, each page its own document); emits each page's
+    pickled state for document reassembly (links are document-global so
+    they run post-shuffle). A failing page's state is its error marker."""
 
     def __init__(self, cfg: ExtractConfig = None):
         self.cfg = cfg or ExtractConfig()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
         states = []
-        for p in payloads:
-            try:
-                page = process_page(
-                    decode_page_dedup(p, self.cfg.quote_loosebox, self.cfg.flatten_pdf), self.cfg
-                )
-                states.append(pickle.dumps(page, protocol=pickle.HIGHEST_PROTOCOL))
-            except Exception:
+        for page in process_batch([[p] for p in batch.column("payload").to_pylist()], self.cfg):
+            if isinstance(page, Exception):
                 # per-page error isolation: the marker reaches the doc's
                 # reassembly, where the error policy of ``_rows`` applies
-                states.append(pickle.dumps({"__error__": traceback.format_exc(limit=3)},
-                                           protocol=pickle.HIGHEST_PROTOCOL))
+                page = [{"__error__": "".join(traceback.format_exception(page, limit=3))}]
+            states.append(pickle.dumps(page[0], protocol=pickle.HIGHEST_PROTOCOL))
         return pa.Table.from_arrays(
             [
                 batch.column("doc_id"),

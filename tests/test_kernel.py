@@ -137,7 +137,7 @@ def test_decoder_backend_equivalence_all_cases():
     (CharRecordsBackend's JSON char records — the shape a pypdfium2 ctypes
     adapter assembles) must produce byte-identical extraction across every
     adversarial corpus case, with and without flatten, because backends only
-    fill a RawPage and share decode_raw + dedup_decoded."""
+    fill a RawPage and share the kernel's batch pass."""
     import json
 
     from pdftext_ray import corpus
